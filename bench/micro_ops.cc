@@ -4,6 +4,7 @@
  * primitives whose costs the paper's arguments rest on:
  *
  *  - cache hit/miss/flush/purge paths of the simulator,
+ *  - coherence-bus snoops that miss or hit in the peer cache,
  *  - the CacheControl bookkeeping (bit-vector ops, protection walk),
  *  - consistency-fault round trips,
  *  - TLB translation.
@@ -15,6 +16,7 @@
 
 #include <benchmark/benchmark.h>
 
+#include "cache/coherence.hh"
 #include "common/arena.hh"
 #include "common/bitvector.hh"
 #include "core/classic_pmap.hh"
@@ -76,6 +78,56 @@ BM_CachePurgePage(benchmark::State &state)
             m.dcache().purgePage(VirtAddr(0), PhysAddr(0)));
 }
 BENCHMARK(BM_CachePurgePage);
+
+void
+BM_CacheFlushPageSparse(benchmark::State &state)
+{
+    // The fault-bound shape: a store dirties one line of the page,
+    // then the page is flushed — 1 present line of 128.
+    Machine m{MachineParams::hp720()};
+    Cache &c = m.dcache();
+    std::uint32_t v = 0;
+    for (auto _ : state) {
+        c.write(VirtAddr(2048), PhysAddr(2048), ++v);
+        benchmark::DoNotOptimize(c.flushPage(VirtAddr(0), PhysAddr(0)));
+    }
+}
+BENCHMARK(BM_CacheFlushPageSparse);
+
+/** A 2-CPU MESI machine: bus reads from CPU 0 snoop CPU 1's caches. */
+MachineParams
+twoCpuMesi()
+{
+    MachineParams p = MachineParams::hp720();
+    p.numCpus = 2;
+    p.cpuCoherence = MachineParams::CpuCoherence::Mesi;
+    return p;
+}
+
+void
+BM_BusSnoopMiss(benchmark::State &state)
+{
+    // The common case: no peer holds the line.
+    Machine m{twoCpuMesi()};
+    for (auto _ : state) {
+        benchmark::DoNotOptimize(
+            m.coherenceBus()->busRead(&m.dcache(0), PhysAddr(4096)));
+    }
+}
+BENCHMARK(BM_BusSnoopMiss);
+
+void
+BM_BusSnoopHit(benchmark::State &state)
+{
+    // The peer holds the line (Shared after the first snoop).
+    Machine m{twoCpuMesi()};
+    m.dcache(1).read(VirtAddr(4096), PhysAddr(4096));
+    for (auto _ : state) {
+        benchmark::DoNotOptimize(
+            m.coherenceBus()->busRead(&m.dcache(0), PhysAddr(4096)));
+    }
+}
+BENCHMARK(BM_BusSnoopHit);
 
 void
 BM_BitVectorStaleUpdate(benchmark::State &state)

@@ -37,6 +37,10 @@
 #      the same sweep rerun serially must produce an artifact
 #      equivalent to the parallel one modulo wall-clock — the
 #      engine's determinism contract;
+#   6b. micro-benchmark smoke: micro_ops (google-benchmark rows for
+#      each layer's hot path) runs once at a short min-time, gated on
+#      its exit status only — the numbers are host-dependent, the
+#      rows must simply keep building and running;
 #   7. perf smoke: vic_bench --smoke rebuilt at Release (-O2) and run
 #      with --shards 2 (the intra-run shard path must be exercised by
 #      every CI pass), its artifact asserted equivalent to the
@@ -123,6 +127,9 @@ step "bench determinism (--jobs 1 vs --jobs 2 artifacts)"
     >/dev/null
 ./build/tools/vic_bench --diff BENCH_smoke_j1.json BENCH_smoke.json
 rm -f BENCH_smoke_j1.json
+
+step "micro-benchmark smoke (micro_ops, exit status only)"
+./build/bench/micro_ops --benchmark_min_time=0.01
 
 step "perf smoke (Release -O2, shards, artifact equivalence, ratchet)"
 cmake -B build-release -S . -DCMAKE_BUILD_TYPE=Release >/dev/null

@@ -432,7 +432,7 @@ class AddrKindPass : public Pass
             return;
 
         parseParams(toks, fn, env);
-        scanBody(g, toks, fn, env);
+        scanBody(toks, fn, env);
     }
 
     void parseParams(const std::vector<Token> &toks,
@@ -507,7 +507,7 @@ class AddrKindPass : public Pass
     /** One flat scan of the body for declarations, returns, call
      *  arguments and rewrap sites. Flow-insensitive by design: kinds
      *  only ever join. */
-    void scanBody(const CallGraph &g, const std::vector<Token> &toks,
+    void scanBody(const std::vector<Token> &toks,
                   const FnInfo &fn, FnEnv &env) const
     {
         for (std::size_t i = fn.extentBegin; i < fn.close; ++i) {

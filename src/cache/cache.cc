@@ -4,6 +4,7 @@
 #include "common/logging.hh"
 
 #include <algorithm>
+#include <cstring>
 
 namespace vic
 {
@@ -32,6 +33,7 @@ Cache::Cache(std::string cache_name, const CacheGeometry &geom,
       lineCols(geo.numLines()), lineState(lineCols.column<0>()),
       lineTag(lineCols.column<1>()), lineUse(lineCols.column<2>()),
       data(std::uint64_t(geo.numLines()) * geo.wordsPerLine(), 0),
+      copies(memory.sizeBytes() / geo.lineBytes()),
       statReads(stat_set.counter(cacheName + ".reads")),
       statWrites(stat_set.counter(cacheName + ".writes")),
       statHits(stat_set.counter(cacheName + ".hits")),
@@ -45,6 +47,10 @@ Cache::Cache(std::string cache_name, const CacheGeometry &geom,
       statFlushCycles(stat_set.counter(cacheName + ".flush_cycles")),
       statPurgeCycles(stat_set.counter(cacheName + ".purge_cycles"))
 {
+    // A physical line has at most one copy per candidate set.
+    if (geo.spanColours() > 65535)
+        vic_fatal("%s: %u span colours overflow the snoop filter",
+                  cacheName.c_str(), geo.spanColours());
 }
 
 void
@@ -91,31 +97,24 @@ Cache::writeBack(std::uint32_t line_id)
 }
 
 void
-Cache::selfSnoopSynonyms(std::uint32_t keep_id, PhysAddr pa_line)
+Cache::selfSnoopSynonyms(PhysAddr pa_line)
 {
-    const std::uint64_t tag = pa_line.value / geo.lineBytes();
-    forEachCandidateSet(pa_line, [&](std::uint32_t set) {
-        for (std::uint32_t w = 0; w < geo.associativity(); ++w) {
-            const std::uint32_t id = lineId(set, w);
-            if (id == keep_id)
-                continue;
-            if (!lineValid(id) || lineTag[id] != tag)
-                continue;
-            if (lineDirty(id))
-                writeBack(id);
-            lineState[id] = MesiState::Invalid;
-            if (statSynonymSnoops != nullptr) {
-                ++*statSynonymSnoops;
-                *statSynonymSnoopCycles += selfSnoopPenalty;
-            }
-            clk.advance(selfSnoopPenalty);
-        }
+    forEachCopy(pa_line, [&](std::uint32_t id) {
+        if (lineDirty(id))
+            writeBack(id);
+        dropLine(id);
+        ++*statSynonymSnoops;
+        *statSynonymSnoopCycles += selfSnoopPenalty;
+        clk.advance(selfSnoopPenalty);
     });
 }
 
 void
 Cache::fill(std::uint32_t line_id, PhysAddr pa, bool for_write)
 {
+    // The caller has written a dirty victim back; un-count it.
+    if (lineValid(line_id))
+        dropLine(line_id);
     PhysAddr base(geo.lineBase(pa.value));
     // Coherence actions first, so peer (and synonym) write-backs land
     // in memory before this fill reads it.
@@ -127,11 +126,12 @@ Cache::fill(std::uint32_t line_id, PhysAddr pa, bool for_write)
             shared = bus->busRead(this, base);
     }
     if (selfSnoop)
-        selfSnoopSynonyms(line_id, base);
+        selfSnoopSynonyms(base);
     mem.readWords(base, lineData(line_id), geo.wordsPerLine());
     lineState[line_id] =
         shared ? MesiState::Shared : MesiState::Exclusive;
     lineTag[line_id] = pa.value / geo.lineBytes();
+    ++copies[lineTag[line_id]];
     ++statFills;
     clk.advance(costs.missPenalty);
 }
@@ -216,69 +216,88 @@ Cache::write(VirtAddr va, PhysAddr pa, std::uint32_t value)
     lineData(id)[word_in_line] = value;
 }
 
+void
+Cache::chargeLineOps(bool write_back, std::uint32_t present,
+                     std::uint32_t absent)
+{
+    const Cycles cost = Cycles(present) * costs.opLinePresent +
+        Cycles(absent) * (costs.uniformOpCost ? costs.opLinePresent
+                                              : costs.opLineAbsent);
+    clk.advance(cost);
+    if (write_back) {
+        statFlushCycles += cost;
+        statFlushPresent += present;
+        statFlushAbsent += absent;
+    } else {
+        statPurgeCycles += cost;
+        statPurgePresent += present;
+        statPurgeAbsent += absent;
+    }
+}
+
 bool
 Cache::removeLine(VirtAddr va, PhysAddr pa, bool write_back)
 {
     const std::uint32_t set = geo.setIndex(indexBits(va, pa));
     const int way = findWay(set, pa);
     const bool present = way >= 0;
-
-    const Cycles cost = (present || costs.uniformOpCost)
-        ? costs.opLinePresent
-        : costs.opLineAbsent;
-    clk.advance(cost);
-
-    if (write_back) {
-        statFlushCycles += cost;
-        present ? ++statFlushPresent : ++statFlushAbsent;
-    } else {
-        statPurgeCycles += cost;
-        present ? ++statPurgePresent : ++statPurgeAbsent;
-    }
-
+    chargeLineOps(write_back, present, !present);
     if (!present)
         return false;
 
     const std::uint32_t id = lineId(set, static_cast<std::uint32_t>(way));
     if (write_back && lineDirty(id))
         writeBack(id);
-    lineState[id] = MesiState::Invalid;
+    dropLine(id);
     return true;
 }
 
-bool
-Cache::flushLine(VirtAddr va, PhysAddr pa)
-{
-    return removeLine(va, pa, true);
-}
-
-bool
-Cache::purgeLine(VirtAddr va, PhysAddr pa)
-{
-    return removeLine(va, pa, false);
-}
-
 std::uint32_t
-Cache::flushPage(VirtAddr page_va, PhysAddr page_pa)
+Cache::removePage(VirtAddr page_va, PhysAddr page_pa, bool write_back)
 {
+    // Line k of the page sits in set (first + k) mod numSets and is
+    // tagged tag0 + k.
+    const std::uint32_t lines = geo.linesPerPage();
+    const std::uint32_t ways = geo.associativity();
+    const std::uint32_t first = geo.setIndex(indexBits(page_va, page_pa));
+    const std::uint64_t tag0 = page_pa.value / geo.lineBytes();
     std::uint32_t present = 0;
-    for (std::uint32_t off = 0; off < geo.pageBytes();
-         off += geo.lineBytes()) {
-        if (flushLine(page_va.plus(off), page_pa.plus(off)))
-            ++present;
-    }
-    return present;
-}
+    auto remove = [&](std::uint32_t id) {
+        if (write_back && lineDirty(id))
+            writeBack(id);
+        dropLine(id);
+        ++present;
+    };
 
-std::uint32_t
-Cache::purgePage(VirtAddr page_va, PhysAddr page_pa)
-{
-    std::uint32_t present = 0;
-    for (std::uint32_t off = 0; off < geo.pageBytes();
-         off += geo.lineBytes()) {
-        if (purgeLine(page_va.plus(off), page_pa.plus(off)))
-            ++present;
+    if (first + lines > geo.numSets()) {
+        // The sets wrap (a cache smaller than a page): probe each line.
+        for (std::uint32_t k = 0; k < lines; ++k) {
+            const std::uint32_t set = (first + k) & (geo.numSets() - 1);
+            const int way = findWay(set, page_pa.plus(k * geo.lineBytes()));
+            if (way >= 0)
+                remove(lineId(set, static_cast<std::uint32_t>(way)));
+        }
+    } else {
+        // The page's lines are one contiguous run of the state column:
+        // skip each 8-line word with no valid line; scan a short tail.
+        static_assert(MesiState::Invalid == MesiState{0});
+        const std::uint32_t begin = first * ways;
+        const std::uint32_t end = begin + lines * ways;
+        for (std::uint32_t at = begin; at < end; at += 8) {
+            std::uint64_t word = 1;
+            if (end - at >= 8)
+                std::memcpy(&word, lineState + at, 8);
+            if (word == 0)
+                continue;
+            const std::uint32_t stop = std::min(at + 8, end);
+            for (std::uint32_t id = at; id < stop; ++id) {
+                if (lineValid(id) &&
+                    lineTag[id] == tag0 + (id / ways - first))
+                    remove(id);
+            }
+        }
     }
+    chargeLineOps(write_back, present, lines - present);
     return present;
 }
 
@@ -287,77 +306,42 @@ Cache::purgeAll()
 {
     std::fill(lineState, lineState + geo.numLines(),
               MesiState::Invalid);
+    copies.clear();
 }
 
 void
 Cache::snoopInvalidateLine(PhysAddr pa_line)
 {
-    const std::uint64_t tag = pa_line.value / geo.lineBytes();
-    forEachCandidateSet(pa_line, [&](std::uint32_t set) {
-        for (std::uint32_t w = 0; w < geo.associativity(); ++w) {
-            const std::uint32_t id = lineId(set, w);
-            if (lineValid(id) && lineTag[id] == tag)
-                lineState[id] = MesiState::Invalid;
-        }
-    });
+    forEachCopy(pa_line, [&](std::uint32_t id) { dropLine(id); });
 }
 
 bool
 Cache::snoopWriteBackLine(PhysAddr pa_line)
 {
-    const std::uint64_t tag = pa_line.value / geo.lineBytes();
     bool wrote = false;
-    forEachCandidateSet(pa_line, [&](std::uint32_t set) {
-        for (std::uint32_t w = 0; w < geo.associativity(); ++w) {
-            const std::uint32_t id = lineId(set, w);
-            if (lineValid(id) && lineTag[id] == tag &&
-                lineDirty(id)) {
-                writeBack(id);
-                wrote = true;
-            }
+    forEachCopy(pa_line, [&](std::uint32_t id) {
+        if (lineDirty(id)) {
+            writeBack(id);
+            wrote = true;
         }
     });
     return wrote;
 }
 
 Cache::SnoopReply
-Cache::snoopBusRead(PhysAddr pa_line)
+Cache::snoopBus(PhysAddr pa_line, bool invalidate)
 {
-    const std::uint64_t tag = pa_line.value / geo.lineBytes();
     SnoopReply reply;
-    forEachCandidateSet(pa_line, [&](std::uint32_t set) {
-        for (std::uint32_t w = 0; w < geo.associativity(); ++w) {
-            const std::uint32_t id = lineId(set, w);
-            if (!lineValid(id) || lineTag[id] != tag)
-                continue;
-            reply.hadCopy = true;
-            if (lineDirty(id)) {
-                writeBack(id);
-                reply.intervened = true;
-            }
+    forEachCopy(pa_line, [&](std::uint32_t id) {
+        reply.hadCopy = true;
+        if (lineDirty(id)) {
+            writeBack(id);
+            reply.intervened = true;
+        }
+        if (invalidate)
+            dropLine(id);
+        else
             lineState[id] = MesiState::Shared;
-        }
-    });
-    return reply;
-}
-
-Cache::SnoopReply
-Cache::snoopBusInvalidate(PhysAddr pa_line)
-{
-    const std::uint64_t tag = pa_line.value / geo.lineBytes();
-    SnoopReply reply;
-    forEachCandidateSet(pa_line, [&](std::uint32_t set) {
-        for (std::uint32_t w = 0; w < geo.associativity(); ++w) {
-            const std::uint32_t id = lineId(set, w);
-            if (!lineValid(id) || lineTag[id] != tag)
-                continue;
-            reply.hadCopy = true;
-            if (lineDirty(id)) {
-                writeBack(id);
-                reply.intervened = true;
-            }
-            lineState[id] = MesiState::Invalid;
-        }
     });
     return reply;
 }
@@ -378,6 +362,17 @@ Cache::probe(VirtAddr va, PhysAddr pa) const
         static_cast<std::uint32_t>((pa.value / 4) % geo.wordsPerLine());
     p.word = lineData(id)[word_in_line];
     return p;
+}
+
+bool
+Cache::copyCountsConsistent() const
+{
+    std::vector<std::uint16_t> recount(copies.size(), 0);
+    for (std::uint32_t id = 0; id < geo.numLines(); ++id) {
+        if (lineValid(id))
+            ++recount[lineTag[id]];
+    }
+    return std::equal(recount.begin(), recount.end(), copies.begin());
 }
 
 } // namespace vic

@@ -37,6 +37,7 @@
 #include "common/column_store.hh"
 #include "common/cycle_clock.hh"
 #include "common/stats.hh"
+#include "common/zeroed_array.hh"
 #include "common/types.hh"
 #include "mem/physical_memory.hh"
 
@@ -204,19 +205,23 @@ class Cache
      *
      * @return true iff a matching line was present.
      */
-    bool flushLine(VirtAddr va, PhysAddr pa);
+    bool flushLine(VirtAddr va, PhysAddr pa)
+    { return removeLine(va, pa, true); }
 
     /** Hardware "purge virtual address": remove without write-back.
      *  @return true iff a matching line was present. */
-    bool purgeLine(VirtAddr va, PhysAddr pa);
+    bool purgeLine(VirtAddr va, PhysAddr pa)
+    { return removeLine(va, pa, false); }
 
     /** Flush every line of the page mapped at (@p page_va -> @p page_pa).
      *  @return number of lines that were present. */
-    std::uint32_t flushPage(VirtAddr page_va, PhysAddr page_pa);
+    std::uint32_t flushPage(VirtAddr page_va, PhysAddr page_pa)
+    { return removePage(page_va, page_pa, true); }
 
     /** Purge every line of the page at (@p page_va -> @p page_pa).
      *  @return number of lines that were present. */
-    std::uint32_t purgePage(VirtAddr page_va, PhysAddr page_pa);
+    std::uint32_t purgePage(VirtAddr page_va, PhysAddr page_pa)
+    { return removePage(page_va, page_pa, false); }
 
     /** Invalidate the whole cache without write-back (power-up). */
     void purgeAll();
@@ -246,14 +251,16 @@ class Cache
      * Bus snoop for a peer's read: a Modified copy is written back
      * (memory becomes current) and any copy downgrades to Shared.
      */
-    SnoopReply snoopBusRead(PhysAddr pa_line);
+    SnoopReply snoopBusRead(PhysAddr pa_line)
+    { return snoopBus(pa_line, false); }
 
     /**
      * Bus snoop for a peer's write (bus-read-exclusive / upgrade): a
      * Modified copy is written back first, then every copy is
      * invalidated.
      */
-    SnoopReply snoopBusInvalidate(PhysAddr pa_line);
+    SnoopReply snoopBusInvalidate(PhysAddr pa_line)
+    { return snoopBus(pa_line, true); }
 
     /** Result of a non-intrusive lookup, for tests and the oracle. */
     struct Probe
@@ -266,6 +273,10 @@ class Cache
 
     /** Inspect the cache without charging cycles or changing state. */
     Probe probe(VirtAddr va, PhysAddr pa) const;
+
+    /** Recount every valid line's tag by brute force and compare the
+     *  result with the snoop filter's copy counts (for tests). */
+    bool copyCountsConsistent() const;
 
   private:
     std::string cacheName;
@@ -295,6 +306,15 @@ class Cache
 
     std::vector<std::uint32_t> data;
     std::uint64_t useTick = 0;
+
+    /**
+     * Snoop filter: copies[l] is the number of valid lines tagged with
+     * physical line l. Changed only by fill() (one increment) and
+     * dropLine() (one decrement), so a snoop for a line this cache
+     * does not hold costs one load instead of a candidate-set scan.
+     * One entry per line of physical memory.
+     */
+    ZeroedArray<std::uint16_t> copies;
 
     bool selfSnoop = false;
     Cycles selfSnoopPenalty = 0;
@@ -374,24 +394,48 @@ class Cache
      */
     void fill(std::uint32_t line_id, PhysAddr pa, bool for_write);
 
-    /** Displace any other copy of @p pa_line held under a different
-     *  colour (reverse-lookup synonym snoop); @p keep_id is the line
-     *  being filled. */
-    void selfSnoopSynonyms(std::uint32_t keep_id, PhysAddr pa_line);
+    /** Displace every copy of @p pa_line already in the cache
+     *  (reverse-lookup synonym snoop), before a fill installs it. */
+    void selfSnoopSynonyms(PhysAddr pa_line);
+
+    /** Invalidate valid line @p id and un-count it in the filter. */
+    void
+    dropLine(std::uint32_t id)
+    {
+        --copies[lineTag[id]];
+        lineState[id] = MesiState::Invalid;
+    }
+
+    /** Charge @p present + @p absent line flushes (@p write_back) or
+     *  purges to the clock and counters with one add each. */
+    void chargeLineOps(bool write_back, std::uint32_t present,
+                       std::uint32_t absent);
 
     /** Shared flush/purge implementation. */
     bool removeLine(VirtAddr va, PhysAddr pa, bool write_back);
 
+    /** Shared flushPage/purgePage implementation, one pass over the
+     *  page's lines. @return number of lines that were present. */
+    std::uint32_t removePage(VirtAddr page_va, PhysAddr page_pa,
+                             bool write_back);
+
     /**
-     * Visit every set that could hold the line at physical address
-     * @p pa_line. A virtual index shares the page-offset bits with
-     * the physical address, so only the colour bits are unknown —
-     * one candidate set per span colour instead of a full scan.
+     * Call @p fn(line id) for every valid line holding the physical
+     * line @p pa_line, in ascending candidate-set order. A virtual
+     * index shares the page-offset bits with the physical address, so
+     * only the colour bits are unknown: one candidate set per span
+     * colour instead of a full scan. The walk is skipped when the
+     * snoop filter counts no copy and stops once every counted copy
+     * has been visited. @p fn may downgrade or drop the line.
      */
     template <typename Fn>
     void
-    forEachCandidateSet(PhysAddr pa_line, Fn &&fn) const
+    forEachCopy(PhysAddr pa_line, Fn &&fn)
     {
+        const std::uint64_t tag = pa_line.value / geo.lineBytes();
+        if (tag >= copies.size() || copies[tag] == 0)
+            return;
+        std::uint32_t left = copies[tag];
         const std::uint32_t lines_per_page = geo.linesPerPage();
         const std::uint32_t off_line = static_cast<std::uint32_t>(
             (pa_line.value % geo.pageBytes()) / geo.lineBytes());
@@ -399,9 +443,19 @@ class Cache
         for (std::uint32_t c = 0; c < span; ++c) {
             const std::uint32_t set =
                 (c * lines_per_page + off_line) & (geo.numSets() - 1);
-            fn(set);
+            for (std::uint32_t w = 0; w < geo.associativity(); ++w) {
+                const std::uint32_t id = lineId(set, w);
+                if (!lineValid(id) || lineTag[id] != tag)
+                    continue;
+                fn(id);
+                if (--left == 0)
+                    return;
+            }
         }
     }
+
+    /** Shared snoopBusRead/snoopBusInvalidate implementation. */
+    SnoopReply snoopBus(PhysAddr pa_line, bool invalidate);
 };
 
 } // namespace vic

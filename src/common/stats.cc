@@ -1,6 +1,7 @@
 #include "common/stats.hh"
 
 #include <algorithm>
+#include <stdexcept>
 
 #include "common/logging.hh"
 
@@ -43,12 +44,60 @@ StatSet::all() const
     return out;
 }
 
-std::map<std::string, std::uint64_t>
+namespace
+{
+
+bool
+nameBefore(const StatSnapshot::value_type &e, const std::string &name)
+{
+    return e.first < name;
+}
+
+} // anonymous namespace
+
+StatSnapshot::StatSnapshot(std::initializer_list<value_type> pairs)
+{
+    for (const value_type &p : pairs) {
+        if (find(p.first) == end())
+            (*this)[p.first] = p.second;
+    }
+}
+
+std::uint64_t &
+StatSnapshot::operator[](const std::string &name)
+{
+    auto it = std::lower_bound(entries.begin(), entries.end(), name,
+                               nameBefore);
+    if (it == entries.end() || it->first != name)
+        it = entries.emplace(it, name, 0);
+    return it->second;
+}
+
+StatSnapshot::const_iterator
+StatSnapshot::find(const std::string &name) const
+{
+    auto it = std::lower_bound(entries.begin(), entries.end(), name,
+                               nameBefore);
+    return it != entries.end() && it->first == name ? it : entries.end();
+}
+
+std::uint64_t
+StatSnapshot::at(const std::string &name) const
+{
+    auto it = find(name);
+    if (it == end())
+        throw std::out_of_range("no counter " + name);
+    return it->second;
+}
+
+StatSnapshot
 StatSet::snapshot() const
 {
-    std::map<std::string, std::uint64_t> out;
-    for (const auto &c : storage)
-        out.emplace(c.name(), c.value());
+    // index is ordered by name: the entries come out sorted.
+    StatSnapshot out;
+    out.entries.reserve(index.size());
+    for (const auto &[name, c] : index)
+        out.entries.emplace_back(name, c->value());
     return out;
 }
 

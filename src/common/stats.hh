@@ -13,8 +13,10 @@
 
 #include <cstdint>
 #include <deque>
+#include <initializer_list>
 #include <map>
 #include <string>
+#include <utility>
 #include <vector>
 
 namespace vic
@@ -43,6 +45,43 @@ class Counter
     std::uint64_t value_ = 0;
 };
 
+/**
+ * Counter values captured from a StatSet: (name, value) pairs sorted by
+ * name, each name once, so iteration order is deterministic. A sorted
+ * vector rather than a std::map: every run result keeps one, and a map
+ * node costs about as much again as the pair it holds.
+ */
+class StatSnapshot
+{
+  public:
+    using value_type = std::pair<std::string, std::uint64_t>;
+    using const_iterator = std::vector<value_type>::const_iterator;
+
+    StatSnapshot() = default;
+
+    /** From pairs in any order; a repeated name keeps its first value,
+     *  as with std::map. */
+    StatSnapshot(std::initializer_list<value_type> pairs);
+
+    /** The value of @p name, inserted as 0 first if absent. */
+    std::uint64_t &operator[](const std::string &name);
+
+    /** The value of @p name; throws std::out_of_range if absent. */
+    std::uint64_t at(const std::string &name) const;
+
+    /** The pair named @p name, or end(). */
+    const_iterator find(const std::string &name) const;
+
+    const_iterator begin() const { return entries.begin(); }
+    const_iterator end() const { return entries.end(); }
+
+    bool operator==(const StatSnapshot &) const = default;
+
+  private:
+    friend class StatSet;
+    std::vector<value_type> entries;
+};
+
 /** An ordered collection of counters, keyed by name. */
 class StatSet
 {
@@ -68,7 +107,7 @@ class StatSet
      *  Snapshots feed the JSON artifacts, so the container must have a
      *  deterministic iteration order (vic_lint's det-unordered rule
      *  bans unordered containers in src/common sim-visible APIs). */
-    std::map<std::string, std::uint64_t> snapshot() const;
+    StatSnapshot snapshot() const;
 
     /** Render all counters whose names start with @p prefix, sorted by
      *  name, one per line ("name value\n"). Zero-valued counters are

@@ -18,7 +18,14 @@ Pmap::Pmap(Machine &m, const PolicyConfig &policy_config)
 Counter &
 Pmap::reasonCounter(const char *kind, const char *reason)
 {
-    return mach.stats().counter(format("pmap.%s.%s", kind, reason));
+    for (const ReasonSlot &slot : reasonSlots) {
+        if (slot.kind == kind && slot.reason == reason)
+            return *slot.counter;
+    }
+    reasonSlots.push_back(
+        {kind, reason,
+         &mach.stats().counter(format("pmap.%s.%s", kind, reason))});
+    return *reasonSlots.back().counter;
 }
 
 void

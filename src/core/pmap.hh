@@ -23,6 +23,7 @@
 
 #include <memory>
 #include <optional>
+#include <string>
 #include <vector>
 
 #include "common/stats.hh"
@@ -172,6 +173,16 @@ class Pmap
     Counter &statDFlushes;
     Counter &statDPurges;
     Counter &statIPurges;
+
+    /** Per-(kind, reason) counters already registered, so a page op
+     *  neither formats its counter name nor looks it up by name. */
+    struct ReasonSlot
+    {
+        const char *kind; ///< one of pmap.cc's literals, by address
+        std::string reason;
+        Counter *counter;
+    };
+    std::vector<ReasonSlot> reasonSlots;
 
     Counter &reasonCounter(const char *kind, const char *reason);
 };

@@ -7,11 +7,11 @@ namespace vic
 
 PhysicalMemory::PhysicalMemory(std::uint64_t num_frames,
                                std::uint32_t page_size)
-    : frames(num_frames), pageBytes(page_size)
+    : frames(num_frames), pageBytes(page_size),
+      store(num_frames * (page_size / 4))
 {
     vic_assert(page_size >= 4 && page_size % 4 == 0,
                "page size %u not a multiple of 4", page_size);
-    store.assign(frames * (pageBytes / 4), 0);
 }
 
 std::uint64_t

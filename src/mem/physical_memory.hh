@@ -15,9 +15,9 @@
 #define VIC_MEM_PHYSICAL_MEMORY_HH
 
 #include <cstdint>
-#include <vector>
 
 #include "common/types.hh"
+#include "common/zeroed_array.hh"
 
 namespace vic
 {
@@ -59,7 +59,7 @@ class PhysicalMemory
   private:
     std::uint64_t frames;
     std::uint32_t pageBytes;
-    std::vector<std::uint32_t> store;
+    ZeroedArray<std::uint32_t> store;
 
     std::uint64_t wordIndex(PhysAddr pa) const;
 };

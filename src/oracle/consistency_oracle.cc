@@ -6,7 +6,7 @@ namespace vic
 {
 
 ConsistencyOracle::ConsistencyOracle(std::uint64_t memory_bytes)
-    : shadow(memory_bytes / 4, 0), defined(memory_bytes / 4, false)
+    : shadow(memory_bytes / 4), defined(memory_bytes / 4, false)
 {
 }
 
@@ -80,7 +80,7 @@ ConsistencyOracle::dmaRead(PhysAddr pa, std::uint32_t observed)
 void
 ConsistencyOracle::reset()
 {
-    std::fill(shadow.begin(), shadow.end(), 0);
+    shadow.clear();
     std::fill(defined.begin(), defined.end(), false);
     faults.clear();
     totalViolations = 0;

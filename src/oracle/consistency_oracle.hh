@@ -27,6 +27,7 @@
 
 #include "common/observer.hh"
 #include "common/types.hh"
+#include "common/zeroed_array.hh"
 
 namespace vic
 {
@@ -84,7 +85,7 @@ class ConsistencyOracle : public MemoryObserver
 
     std::function<void(const Violation &)> violationHook;
 
-    std::vector<std::uint32_t> shadow;
+    ZeroedArray<std::uint32_t> shadow;
     std::vector<bool> defined;
     std::vector<Violation> faults;
     std::uint64_t totalViolations = 0;

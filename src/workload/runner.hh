@@ -9,10 +9,10 @@
 #define VIC_WORKLOAD_RUNNER_HH
 
 #include <cstdint>
-#include <map>
 #include <string>
 #include <vector>
 
+#include "common/stats.hh"
 #include "core/policy_config.hh"
 #include "machine/machine_params.hh"
 #include "os/os_params.hh"
@@ -37,7 +37,7 @@ struct RunResult
 
     /** Full statistics snapshot (counter name -> value), ordered by
      *  name so everything downstream iterates deterministically. */
-    std::map<std::string, std::uint64_t> stats;
+    StatSnapshot stats;
 
     /** Tail of the machine's event log (empty unless tracing was
      *  requested). */

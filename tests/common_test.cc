@@ -2,7 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <set>
+#include <stdexcept>
+#include <string>
+#include <vector>
 
 #include "common/bitvector.hh"
 #include "common/event_log.hh"
@@ -11,6 +15,7 @@
 #include "common/stats.hh"
 #include "common/table.hh"
 #include "common/types.hh"
+#include "common/zeroed_array.hh"
 
 namespace vic
 {
@@ -205,6 +210,36 @@ TEST(StatsTest, SnapshotAndClear)
     EXPECT_EQ(snap.at("b"), 4u);
     s.clearAll();
     EXPECT_EQ(s.value("a"), 0u);
+}
+
+TEST(StatsTest, SnapshotStaysSortedAndUnique)
+{
+    StatSnapshot snap{{"m", 1}, {"c", 2}, {"m", 9}};
+    snap["z"] += 3;
+    snap["a"] = 4;
+    snap["c"] += 1;
+    std::vector<std::string> names;
+    for (const auto &[name, value] : snap)
+        names.push_back(name);
+    EXPECT_EQ(names, (std::vector<std::string>{"a", "c", "m", "z"}));
+    EXPECT_EQ(snap.at("m"), 1u);  // the first of two "m" pairs
+    EXPECT_EQ(snap.at("c"), 3u);
+    EXPECT_EQ(snap.find("b"), snap.end());
+    EXPECT_THROW(snap.at("b"), std::out_of_range);
+}
+
+TEST(ZeroedArrayTest, StartsZeroAndClears)
+{
+    ZeroedArray<std::uint32_t> a(100000);
+    EXPECT_EQ(a.size(), 100000u);
+    EXPECT_EQ(std::count(a.begin(), a.end(), 0u), 100000);
+    a[0] = 1;
+    a[99999] = 2;
+    EXPECT_EQ(a[99999], 2u);
+    a.clear();
+    EXPECT_EQ(std::count(a.begin(), a.end(), 0u), 100000);
+    ZeroedArray<std::uint16_t> empty(0);
+    EXPECT_EQ(empty.begin(), empty.end());
 }
 
 TEST(StatsTest, AllPreservesCreationOrder)
