@@ -122,11 +122,3 @@ fleetValidate(const SuiteOptions &)
 
 } // anonymous namespace
 } // namespace vic::bench
-
-#ifdef VIC_SUITE_STANDALONE
-int
-main(int argc, char **argv)
-{
-    return vic::bench::suiteMain("fleet", argc, argv);
-}
-#endif

@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
-# Continuous-integration driver. Three gating steps plus best-effort
-# lint:
+# Continuous-integration driver. Ten numbered steps (plus 5b and 6b)
+# run in order and each one gates; step 10 gates only when its tools
+# are installed:
 #
 #   1. tier-1: plain build + full ctest suite (the seed contract);
 #   2. sanitizer: rebuild and rerun the suite under
@@ -53,10 +54,10 @@
 #      tests + the shard runner tests + the smoke sweep + the model
 #      checker's exploreMany + the CoherenceBus head-to-head paths +
 #      a sharded fleet sweep) rebuilt and rerun under TSan;
-#   9. static analysis: tools/vic_lint runs all seven invariant
+#   9. static analysis: tools/vic_lint runs all six invariant
 #      passes (determinism, interprocedural DMA drain-pairing,
-#      address-kind laundering, spec-table completeness, counter
-#      registration, whole-program counter liveness, layering — see
+#      address-kind laundering, counter registration, whole-program
+#      counter liveness, layering — see
 #      docs/STATIC_ANALYSIS.md) over the tree, gating on zero
 #      diagnostics, and archives LINT_report.json (schema v2, with
 #      per-pass fixpoint stats) plus LINT_report.sarif for CI

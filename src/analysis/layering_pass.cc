@@ -57,8 +57,8 @@ const std::map<std::string, int> kRank = {
     {"verify", 8},  {"experiment", 8}, {"analysis", 8},
 };
 
-/** First path component of a quoted include ("cache/cache.hh" ->
- *  "cache"), or "" when there is none. */
+/** First path component of a quoted include (cache/cache.hh ->
+ *  cache), or "" when there is none. */
 std::string
 includeDir(const std::string &inc)
 {

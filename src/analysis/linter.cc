@@ -16,7 +16,6 @@ makeAllPasses()
     passes.push_back(makeDeterminismPass());
     passes.push_back(makeDrainPass());
     passes.push_back(makeAddrKindPass());
-    passes.push_back(makeSpecTablePass());
     passes.push_back(makeCounterPass());
     passes.push_back(makeCounterLivenessPass());
     passes.push_back(makeLayeringPass());
@@ -84,8 +83,7 @@ LintReport::fromJson(const JsonValue &doc)
 {
     const JsonValue *schema = doc.find("schema");
     if (schema == nullptr ||
-        (schema->asString() != "vic-lint-report-v1" &&
-         schema->asString() != "vic-lint-report-v2"))
+        schema->asString() != "vic-lint-report-v2")
         throw std::runtime_error("not a vic-lint report");
 
     LintReport r;
@@ -122,7 +120,6 @@ LintReport::fromJson(const JsonValue &doc)
             r.suppressions.push_back(std::move(s));
         }
     }
-    // v1 simply has no pass_stats; everything else reads the same.
     if (const JsonValue *v = doc.find("pass_stats")) {
         for (const JsonValue &j : v->items()) {
             PassRunStats p;

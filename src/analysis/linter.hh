@@ -4,13 +4,12 @@
  * passes, apply suppressions, render the report.
  *
  * One Linter run is one LintReport — the in-memory form of the
- * LINT_report.json artifact (schema "vic-lint-report-v2"; v1 reports
- * are still readable through fromJson). The JSON is built with the
- * repo's insertion-ordered JsonValue, so a report is byte-identical
- * across runs on the same tree, like every other vic artifact. v2
- * adds per-pass effort counters ("pass_stats") from the
- * interprocedural engine: functions analyzed, summaries computed,
- * fixpoint iterations.
+ * LINT_report.json artifact (schema "vic-lint-report-v2"). The JSON
+ * is built with the repo's insertion-ordered JsonValue, so a report
+ * is byte-identical across runs on the same tree, like every other
+ * vic artifact. v2 adds per-pass effort counters ("pass_stats") from
+ * the interprocedural engine: functions analyzed, summaries
+ * computed, fixpoint iterations.
  */
 
 #ifndef VIC_ANALYSIS_LINTER_HH
@@ -59,9 +58,8 @@ struct LintReport
     /** The "vic-lint-report-v2" document. */
     JsonValue toJson() const;
 
-    /** Read back a v1 or v2 document (v1 has no pass_stats; its
-     *  other fields are unchanged). Throws std::runtime_error on an
-     *  unknown schema. */
+    /** Read back a v2 document. Throws std::runtime_error on any
+     *  other schema. */
     static LintReport fromJson(const JsonValue &doc);
 
     /** One "file:line:col: rule: message" line per diagnostic. */

@@ -37,80 +37,4 @@ mesiBusOpName(MesiBusOp op)
     vic_panic("invalid MesiBusOp %d", static_cast<int>(op));
 }
 
-MesiLocalTransition
-mesiLocalTransition(MesiState current, MesiLocalEvent e)
-{
-    using M = MesiState;
-    using B = MesiBusOp;
-    switch (e) {
-      case MesiLocalEvent::Read:
-        // A read miss fills through a busRead: Exclusive when no
-        // peer held the line, Shared when one did (the peer
-        // simultaneously downgrades — its row is in the snoop
-        // table). Hits stay put in every valid state.
-        switch (current) {
-          case M::Invalid: return {M::Exclusive, M::Shared,
-                                   B::BusRead};
-          case M::Shared: return {M::Shared, M::Shared, B::None};
-          case M::Exclusive: return {M::Exclusive, M::Exclusive,
-                                     B::None};
-          case M::Modified: return {M::Modified, M::Modified,
-                                    B::None};
-        }
-        break;
-
-      case MesiLocalEvent::Write:
-        // Every write ends Modified; what varies is the bus work to
-        // get exclusivity. A miss fills through busReadExclusive, a
-        // Shared hit broadcasts a busUpgrade so peers invalidate,
-        // and an Exclusive hit upgrades silently — the E state's
-        // whole reason to exist.
-        switch (current) {
-          case M::Invalid: return {M::Modified, M::Modified,
-                                   B::BusReadExclusive};
-          case M::Shared: return {M::Modified, M::Modified,
-                                  B::BusUpgrade};
-          case M::Exclusive: return {M::Modified, M::Modified,
-                                     B::None};
-          case M::Modified: return {M::Modified, M::Modified,
-                                    B::None};
-        }
-        break;
-    }
-    vic_panic("invalid (state=%d, event=%d)",
-              static_cast<int>(current), static_cast<int>(e));
-}
-
-MesiSnoopTransition
-mesiSnoopTransition(MesiState current, MesiSnoopEvent e)
-{
-    using M = MesiState;
-    switch (e) {
-      case MesiSnoopEvent::BusRead:
-        // A peer wants to read: copies survive but demote to Shared;
-        // a Modified copy intervenes (writes back) first so memory
-        // is current for the peer's fill.
-        switch (current) {
-          case M::Invalid: return {M::Invalid, false};
-          case M::Shared: return {M::Shared, false};
-          case M::Exclusive: return {M::Shared, false};
-          case M::Modified: return {M::Shared, true};
-        }
-        break;
-
-      case MesiSnoopEvent::BusInvalidate:
-        // A peer wants exclusivity: every copy dies; only a Modified
-        // copy has data memory lacks, so only it writes back.
-        switch (current) {
-          case M::Invalid: return {M::Invalid, false};
-          case M::Shared: return {M::Invalid, false};
-          case M::Exclusive: return {M::Invalid, false};
-          case M::Modified: return {M::Invalid, true};
-        }
-        break;
-    }
-    vic_panic("invalid (state=%d, event=%d)",
-              static_cast<int>(current), static_cast<int>(e));
-}
-
 } // namespace vic

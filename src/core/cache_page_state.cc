@@ -40,116 +40,4 @@ requiredOpName(RequiredOp op)
     vic_panic("invalid RequiredOp %d", static_cast<int>(op));
 }
 
-SpecTransition
-targetTransition(CachePageState current, MemOp op)
-{
-    using S = CachePageState;
-    using R = RequiredOp;
-    switch (op) {
-      case MemOp::CpuRead:
-        // A read must see the line's data become (or stay) consistent.
-        // A stale line must first be purged so the read misses and
-        // fetches the current value from memory.
-        switch (current) {
-          case S::Empty: return {S::Present};
-          case S::Present: return {S::Present};
-          case S::Dirty: return {S::Dirty};
-          case S::Stale: return {S::Present, R::Purge};
-        }
-        break;
-
-      case MemOp::CpuWrite:
-        // A write makes the target line the unique holder of the
-        // newest data. A stale line must be purged first so the write
-        // does not land in (and later expose) old data.
-        switch (current) {
-          case S::Empty: return {S::Dirty};
-          case S::Present: return {S::Dirty};
-          case S::Dirty: return {S::Dirty};
-          case S::Stale: return {S::Dirty, R::Purge};
-        }
-        break;
-
-      case MemOp::DmaRead:
-        // The device reads memory, so memory must hold the newest
-        // data: a dirty line is flushed. On this machine a flush
-        // writes back AND invalidates (like every other Dirty+Flush
-        // row of this table), so the page ends Empty; claiming
-        // Present here costs a provably redundant purge of the
-        // absent page on its next differently-mapped use.
-        switch (current) {
-          case S::Empty: return {S::Empty};
-          case S::Present: return {S::Present};
-          case S::Dirty: return {S::Empty, R::Flush};
-          case S::Stale: return {S::Stale};
-        }
-        break;
-
-      case MemOp::DmaWrite:
-        // The device overwrites memory: every cached copy becomes
-        // stale. A dirty line need only be purged (not flushed) since
-        // the DMA-write overwrites memory anyway; after the purge the
-        // line is empty.
-        switch (current) {
-          case S::Empty: return {S::Empty};
-          case S::Present: return {S::Stale};
-          case S::Dirty: return {S::Empty, R::Purge};
-          case S::Stale: return {S::Stale};
-        }
-        break;
-
-      case MemOp::Purge:
-      case MemOp::Flush:
-        // Both remove the target line from the cache; flush writes a
-        // dirty line back first.
-        return {S::Empty};
-    }
-    vic_panic("invalid (state=%d, op=%d)", static_cast<int>(current),
-              static_cast<int>(op));
-}
-
-SpecTransition
-otherTransition(CachePageState current, MemOp op)
-{
-    using S = CachePageState;
-    using R = RequiredOp;
-    switch (op) {
-      case MemOp::CpuRead:
-        // Before the target line can leave the empty state, the newest
-        // data must be in memory: a dirty unaligned line is flushed.
-        switch (current) {
-          case S::Empty: return {S::Empty};
-          case S::Present: return {S::Present};
-          case S::Dirty: return {S::Empty, R::Flush};
-          case S::Stale: return {S::Stale};
-        }
-        break;
-
-      case MemOp::CpuWrite:
-        // The write supersedes every unaligned copy: present lines
-        // become stale; a dirty line is flushed (its data is the
-        // newest until the write completes) and becomes empty.
-        switch (current) {
-          case S::Empty: return {S::Empty};
-          case S::Present: return {S::Stale};
-          case S::Dirty: return {S::Empty, R::Flush};
-          case S::Stale: return {S::Stale};
-        }
-        break;
-
-      case MemOp::DmaRead:
-      case MemOp::DmaWrite:
-        // DMA does not go through the cache, so every line containing
-        // the physical address shares the target transitions.
-        return targetTransition(current, op);
-
-      case MemOp::Purge:
-      case MemOp::Flush:
-        // Cache control operations affect only the target line.
-        return {current};
-    }
-    vic_panic("invalid (state=%d, op=%d)", static_cast<int>(current),
-              static_cast<int>(op));
-}
-
 } // namespace vic

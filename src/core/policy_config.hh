@@ -139,6 +139,8 @@ struct PolicyConfig
      * on the default machine it behaves like broken().
      */
     static PolicyConfig hardware();
+
+    bool operator==(const PolicyConfig &) const = default;
 };
 
 } // namespace vic

@@ -77,10 +77,9 @@ class ExperimentEngine
                                        std::uint32_t replica);
 
     /**
-     * Filter semantics shared by vic_bench and the standalone bench
-     * binaries: @p filter is a comma-separated list of substrings; an
-     * id matches when the filter is empty or at least one substring
-     * occurs in it.
+     * vic_bench's --filter semantics: @p filter is a comma-separated
+     * list of substrings; an id matches when the filter is empty or
+     * at least one substring occurs in it.
      */
     static bool matchesFilter(const std::string &id,
                               const std::string &filter);

@@ -2,14 +2,17 @@
  * @file
  * Tests of the consistency specification itself: the Table 2
  * transition functions (checked exhaustively against the published
- * table), the SpecExecutor's invariants, and the Table 3 encoding in
- * CacheStateVector.
+ * table), the table predicates rejecting seeded bad Table 2 and MESI
+ * tables at compile time, the SpecExecutor's invariants, the Table 3
+ * encoding in CacheStateVector, and the Table 4 A-F ladder.
  */
 
 #include <gtest/gtest.h>
 
+#include "cache/mesi_spec.hh"
 #include "core/cache_page_state.hh"
 #include "core/phys_page_info.hh"
+#include "core/policy_config.hh"
 #include "core/spec_executor.hh"
 
 namespace vic
@@ -119,6 +122,123 @@ TEST(Table2Test, StateNamesAndLetters)
     EXPECT_STREQ(requiredOpName(R::Flush), "flush");
     EXPECT_STREQ(requiredOpName(R::None), "");
 }
+
+// ---------------------------------------------------------------------
+// Seeded bad tables. The real tables are static_assert'ed in their
+// headers; each copy below breaks one property, and the predicate for
+// that property must reject it while the others still hold.
+// ---------------------------------------------------------------------
+
+/** @p t with @p edit applied to the row for (@p e, @p s). */
+template <typename Table, typename Event, typename State, typename Edit>
+constexpr Table
+withRow(Table t, Event e, State s, Edit edit)
+{
+    for (auto &row : t) {
+        if (row.event == e && row.from == s)
+            edit(row);
+    }
+    return t;
+}
+
+constexpr std::size_t kOps = allMemOps.size();
+constexpr std::size_t kStates = allCachePageStates.size();
+
+// Coverage: the (Stale, CpuWrite) row deleted...
+constexpr auto kNoStaleCpuWrite = [] {
+    std::array<Table2Row, table2Rows.size() - 1> t{};
+    std::size_t n = 0;
+    for (const Table2Row &row : table2Rows) {
+        if (row.event != MemOp::CpuWrite || row.from != S::Stale)
+            t[n++] = row;
+    }
+    return t;
+}();
+static_assert(!coversEveryPair<kOps, kStates>(kNoStaleCpuWrite));
+static_assert(table2Reachable(kNoStaleCpuWrite) &&
+              table2Composes(kNoStaleCpuWrite) &&
+              table2DmaColumnsAgree(kNoStaleCpuWrite));
+// ...or turned into a second (Dirty, CpuWrite) row.
+static_assert(!coversEveryPair<kOps, kStates>(
+    withRow(table2Rows, MemOp::CpuWrite, S::Stale,
+            [](Table2Row &r) { r.from = S::Dirty; })));
+
+// Composition: the Dirty+DmaRead -> {Present, Flush} bug.
+constexpr auto kDirtyDmaReadBug =
+    withRow(table2Rows, MemOp::DmaRead, S::Dirty, [](Table2Row &r) {
+        r.target = r.other = {S::Present, R::Flush};
+    });
+static_assert(!table2Composes(kDirtyDmaReadBug));
+static_assert(coversEveryPair<kOps, kStates>(kDirtyDmaReadBug) &&
+              table2Reachable(kDirtyDmaReadBug) &&
+              table2DmaColumnsAgree(kDirtyDmaReadBug));
+
+// Reachability: no transition into Stale.
+constexpr auto kStaleUnreachable = [] {
+    std::array<Table2Row, table2Rows.size()> t = table2Rows;
+    for (Table2Row &row : t) {
+        for (SpecTransition *tr : {&row.target, &row.other}) {
+            if (tr->next == S::Stale)
+                tr->next = S::Empty;
+        }
+    }
+    return t;
+}();
+static_assert(!table2Reachable(kStaleUnreachable));
+static_assert(coversEveryPair<kOps, kStates>(kStaleUnreachable) &&
+              table2Composes(kStaleUnreachable) &&
+              table2DmaColumnsAgree(kStaleUnreachable));
+
+// DMA columns: a DMA-write that leaves unaligned present lines alone.
+constexpr auto kDmaColumnsDiffer =
+    withRow(table2Rows, MemOp::DmaWrite, S::Present,
+            [](Table2Row &r) { r.other = {S::Present}; });
+static_assert(!table2DmaColumnsAgree(kDmaColumnsDiffer));
+static_assert(coversEveryPair<kOps, kStates>(kDmaColumnsDiffer) &&
+              table2Reachable(kDmaColumnsDiffer) &&
+              table2Composes(kDmaColumnsDiffer));
+
+// MESI: a snoop write-back from Shared...
+constexpr auto kSharedWritesBack =
+    withRow(mesiSnoopRows, MesiSnoopEvent::BusRead, MesiState::Shared,
+            [](MesiSnoopRow &r) { r.to.writeBack = true; });
+static_assert(!mesiWritesBackOnlyFromModified(kSharedWritesBack));
+static_assert(mesiInvalidateEndsInvalid(kSharedWritesBack) &&
+              mesiReachable(mesiLocalRows, kSharedWritesBack));
+
+// ...a BusInvalidate that leaves a Shared copy alive...
+constexpr auto kInvalidateKeepsShared = withRow(
+    mesiSnoopRows, MesiSnoopEvent::BusInvalidate, MesiState::Shared,
+    [](MesiSnoopRow &r) { r.to.next = MesiState::Shared; });
+static_assert(!mesiInvalidateEndsInvalid(kInvalidateKeepsShared));
+static_assert(mesiWritesBackOnlyFromModified(kInvalidateKeepsShared) &&
+              mesiReachable(mesiLocalRows, kInvalidateKeepsShared));
+
+// ...a bus fill issued from a valid state...
+constexpr auto kFillFromShared =
+    withRow(mesiLocalRows, MesiLocalEvent::Read, MesiState::Shared,
+            [](MesiLocalRow &r) { r.to.bus = MesiBusOp::BusRead; });
+static_assert(!mesiFillsWellFormed(kFillFromShared));
+static_assert(mesiWriteEndsModified(kFillFromShared) &&
+              mesiReachable(kFillFromShared, mesiSnoopRows));
+
+// ...writes that end Exclusive, which also leave Modified
+// unreachable...
+constexpr auto kWritesEndExclusive = [] {
+    std::array<MesiLocalRow, mesiLocalRows.size()> t = mesiLocalRows;
+    for (MesiLocalRow &row : t) {
+        if (row.event == MesiLocalEvent::Write)
+            row.to.next = row.to.nextIfPeerHolds = MesiState::Exclusive;
+    }
+    return t;
+}();
+static_assert(!mesiWriteEndsModified(kWritesEndExclusive));
+static_assert(!mesiReachable(kWritesEndExclusive, mesiSnoopRows));
+// ...and a Write row relabelled as a second Read row.
+static_assert(!coversEveryPair<allMesiLocalEvents.size(),
+                               allMesiStates.size()>(
+    withRow(mesiLocalRows, MesiLocalEvent::Write, MesiState::Shared,
+            [](MesiLocalRow &r) { r.event = MesiLocalEvent::Read; })));
 
 // ---------------------------------------------------------------------
 // SpecExecutor
@@ -329,6 +449,78 @@ TEST(PhysPageInfoTest, MappingListOperations)
     EXPECT_TRUE(info.removeMapping(SpaceVa(1, VirtAddr(0x1000))));
     EXPECT_FALSE(info.removeMapping(SpaceVa(1, VirtAddr(0x1000))));
     EXPECT_TRUE(info.hasMappings());
+}
+
+// ---------------------------------------------------------------------
+// Table 4: each configuration of the A-F ladder is its predecessor
+// plus the one step the paper adds.
+// ---------------------------------------------------------------------
+
+struct Rung
+{
+    PolicyConfig config;
+    PolicyConfig base;
+    void (*adds)(PolicyConfig &);  ///< the documented flags
+};
+
+/** @p config is @p base with exactly @p adds applied, renamed. */
+bool
+isRung(const PolicyConfig &config, PolicyConfig base,
+       void (*adds)(PolicyConfig &))
+{
+    adds(base);
+    base.name = config.name;
+    return base == config;
+}
+
+std::vector<Rung>
+table4Ladder()
+{
+    using P = PolicyConfig;
+    return {
+        {P::configA(), P{},
+         [](P &p) {
+             p.pmapKind = PmapKind::Classic;
+             p.cleanOnUnmap = true;
+         }},
+        {P::configB(), P{}, [](P &p) { p.pmapKind = PmapKind::Lazy; }},
+        {P::configC(), P::configB(),
+         [](P &p) {
+             p.alignIpc = true;
+             p.alignSharedPages = true;
+         }},
+        {P::configD(), P::configC(),
+         [](P &p) { p.alignedPrepare = true; }},
+        {P::configE(), P::configD(), [](P &p) { p.useNeedData = true; }},
+        {P::configF(), P::configE(),
+         [](P &p) { p.useWillOverwrite = true; }},
+    };
+}
+
+TEST(Table4LadderTest, EachRungAddsOnlyItsDocumentedFlags)
+{
+    for (const Rung &r : table4Ladder())
+        EXPECT_TRUE(isRung(r.config, r.base, r.adds)) << r.config.name;
+}
+
+TEST(Table4LadderTest, RejectsARungWithAnExtraOrMissingFlag)
+{
+    const Rung d = table4Ladder()[3];
+    PolicyConfig extra = d.config;
+    extra.useNeedData = true;  // E's flag, one rung early
+    EXPECT_FALSE(isRung(extra, d.base, d.adds));
+    PolicyConfig missing = d.config;
+    missing.alignedPrepare = false;
+    EXPECT_FALSE(isRung(missing, d.base, d.adds));
+}
+
+TEST(Table4LadderTest, SweepListsAThroughFInOrder)
+{
+    const std::vector<PolicyConfig> sweep = PolicyConfig::table4Sweep();
+    const std::vector<Rung> ladder = table4Ladder();
+    ASSERT_EQ(sweep.size(), ladder.size());
+    for (std::size_t i = 0; i < sweep.size(); ++i)
+        EXPECT_EQ(sweep[i], ladder[i].config) << i;
 }
 
 } // anonymous namespace

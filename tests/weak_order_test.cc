@@ -6,7 +6,7 @@
  * missing-fence exemplar whose weak-order window only relaxed
  * exploration can catch (with an oracle-confirmed minimal schedule),
  * DPOR soundness/optimality over the drain-extended alphabet,
- * deterministic schedule fuzzing, and the v2/v3 verify-report schema
+ * deterministic schedule fuzzing, and the v4 verify-report schema
  * round trip.
  */
 
@@ -278,9 +278,9 @@ TEST(WeakOrder, FuzzCoverageIsSubsetOfExhaustiveExploration)
     }
 }
 
-// --- report schema v2/v3 -----------------------------------------------
+// --- report schema v4 --------------------------------------------------
 
-TEST(WeakOrder, ReportV3RoundTripsThroughTheReader)
+TEST(WeakOrder, ReportReaderRoundTripsV4)
 {
     const Scenario s = missingFenceExemplar(PolicyConfig::cmu());
     const ScenarioResult r = explore(s, defaults());
@@ -301,7 +301,7 @@ TEST(WeakOrder, ReportV3RoundTripsThroughTheReader)
     policies.push(std::move(policyEntry));
     JsonValue report = JsonValue::object();
     report.set("schema",
-               JsonValue::str(verify::kVerifyReportSchemaV3));
+               JsonValue::str(verify::kVerifyReportSchemaV4));
     report.set("ok", JsonValue::boolean(true));
     report.set("policies", std::move(policies));
 
@@ -309,7 +309,7 @@ TEST(WeakOrder, ReportV3RoundTripsThroughTheReader)
     const JsonValue parsed = JsonValue::parse(report.dump(2));
     const verify::McReportSummary sum = verify::readMcReport(parsed);
     EXPECT_TRUE(sum.recognised);
-    EXPECT_EQ(sum.schema, verify::kVerifyReportSchemaV3);
+    EXPECT_EQ(sum.schema, verify::kVerifyReportSchemaV4);
     EXPECT_TRUE(sum.ok);
     ASSERT_EQ(sum.scenarios.size(), 1u);
     const verify::McScenarioSummary &ss = sum.scenarios[0];
@@ -328,46 +328,15 @@ TEST(WeakOrder, ReportV3RoundTripsThroughTheReader)
     EXPECT_TRUE(ss.fuzzPassed);
 }
 
-TEST(WeakOrder, ReportReaderAcceptsV2WithScDefaults)
-{
-    // A v2 document has no memoryOrder, no weakWindowRaces, and no
-    // fuzz member; the reader must fill in the SC-mode defaults.
-    const char *v2 = R"({
-      "schema": "vic-verify-report-v2",
-      "ok": true,
-      "policies": [{
-        "interleave": {
-          "scenarios": [{
-            "scenario": "dma-out-guarded",
-            "exhausted": true,
-            "executions": 3,
-            "canonicalTraces": 3,
-            "violatingRuns": 0,
-            "races": [],
-            "passed": true
-          }]
-        }
-      }]
-    })";
-    const verify::McReportSummary sum =
-        verify::readMcReport(JsonValue::parse(v2));
-    EXPECT_TRUE(sum.recognised);
-    EXPECT_EQ(sum.schema, verify::kVerifyReportSchemaV2);
-    ASSERT_EQ(sum.scenarios.size(), 1u);
-    const verify::McScenarioSummary &ss = sum.scenarios[0];
-    EXPECT_EQ(ss.memoryOrder, "sc");
-    EXPECT_EQ(ss.weakWindowRaces, 0u);
-    EXPECT_FALSE(ss.hasFuzz);
-    EXPECT_EQ(ss.executions, 3u);
-    EXPECT_TRUE(ss.passed);
-}
-
 TEST(WeakOrder, ReportReaderFlagsUnknownSchema)
 {
     const char *doc = R"({"schema": "vic-verify-report-v9"})";
     const verify::McReportSummary sum =
         verify::readMcReport(JsonValue::parse(doc));
     EXPECT_FALSE(sum.recognised);
+    // Earlier schemas are no longer written, so no longer read.
+    const char *v3 = R"({"schema": "vic-verify-report-v3"})";
+    EXPECT_FALSE(verify::readMcReport(JsonValue::parse(v3)).recognised);
 }
 
 } // namespace

@@ -42,11 +42,13 @@
  * on pass; the throughput file is not written when the ratchet fails.
  */
 
+#include <charconv>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
+#include <limits>
 #include <map>
 #include <sstream>
 #include <string>
@@ -223,6 +225,27 @@ ratchetCheck(const std::string &baseline_path,
     return new_rate >= floor;
 }
 
+/** The value of numeric flag @p flag: the whole of @p text must be a
+ *  decimal that fits in T, or the program exits 2. */
+template <typename T>
+T
+parseCount(const std::string &flag, const char *text)
+{
+    T value = 0;
+    const char *end = text + std::strlen(text);
+    const auto [ptr, ec] = std::from_chars(text, end, value);
+    if (ec != std::errc() || ptr != end || text == end) {
+        std::fprintf(stderr,
+                     "invalid value '%s' for %s: expected a decimal "
+                     "integer in [0, %s]\n",
+                     text, flag.c_str(),
+                     std::to_string(std::numeric_limits<T>::max())
+                         .c_str());
+        std::exit(2);
+    }
+    return value;
+}
+
 } // anonymous namespace
 
 int
@@ -259,11 +282,9 @@ main(int argc, char **argv)
         } else if (arg == "--filter" || arg == "-f") {
             filter = next();
         } else if (arg == "--jobs" || arg == "-j") {
-            engine_opts.jobs = static_cast<unsigned>(
-                std::strtoul(next(), nullptr, 10));
+            engine_opts.jobs = parseCount<unsigned>(arg, next());
         } else if (arg == "--shards") {
-            engine_opts.shards = static_cast<unsigned>(
-                std::strtoul(next(), nullptr, 10));
+            engine_opts.shards = parseCount<unsigned>(arg, next());
         } else if (arg == "--ratchet") {
             ratchet_path = next();
         } else if (arg == "--smoke") {
@@ -273,7 +294,7 @@ main(int argc, char **argv)
         } else if (arg == "--throughput") {
             throughput_path = next();
         } else if (arg == "--trace") {
-            trace_events = std::strtoul(next(), nullptr, 10);
+            trace_events = parseCount<std::size_t>(arg, next());
         } else if (arg == "--progress") {
             engine_opts.echoProgress = true;
         } else if (arg == "--help" || arg == "-h") {
