@@ -7,7 +7,8 @@
  *  - coherence-bus snoops that miss or hit in the peer cache,
  *  - the CacheControl bookkeeping (bit-vector ops, protection walk),
  *  - consistency-fault round trips,
- *  - TLB translation.
+ *  - TLB translation,
+ *  - ranged CPU loads and page copies (line runs).
  *
  * These measure the SIMULATOR's real speed (host nanoseconds), which
  * is what bounds experiment turnaround; the simulated-cycle costs are
@@ -239,6 +240,68 @@ BM_CpuStoreHit(benchmark::State &state)
         cpu.store(VirtAddr(0x1000), ++v);
 }
 BENCHMARK(BM_CpuStoreHit);
+
+/** A CPU on an hp720 machine with pages mapped read-write in space 1
+ *  at 0x100000 (frame 2), 0x101000 (frame 3) and 0x110000 (frame 4):
+ *  the first two differ in d-cache colour, the first and third share
+ *  one (the cache spans 16 pages). */
+struct RangeRig
+{
+    RangeRig() : cpu(m)
+    {
+        cpu.setSpace(1);
+        m.pageTable().enter(SpaceVa(1, VirtAddr(0x100000)), 2,
+                            Protection::readWrite());
+        m.pageTable().enter(SpaceVa(1, VirtAddr(0x101000)), 3,
+                            Protection::readWrite());
+        m.pageTable().enter(SpaceVa(1, VirtAddr(0x110000)), 4,
+                            Protection::readWrite());
+    }
+
+    Machine m{MachineParams::hp720()};
+    Cpu cpu;
+    const std::uint32_t pageWords = m.pageBytes() / 4;
+};
+
+void
+BM_CpuLoadRangeHit(benchmark::State &state)
+{
+    // A page of loads, every line present.
+    RangeRig r;
+    r.cpu.loadRange(VirtAddr(0x100000), r.pageWords, 4);
+    for (auto _ : state)
+        r.cpu.loadRange(VirtAddr(0x100000), r.pageWords, 4);
+    state.SetItemsProcessed(state.iterations() * r.pageWords);
+}
+BENCHMARK(BM_CpuLoadRangeHit);
+
+void
+BM_CpuCopyRangeHit(benchmark::State &state)
+{
+    // A page copy between windows of different colours, both present.
+    RangeRig r;
+    r.cpu.copyRange(VirtAddr(0x101000), VirtAddr(0x100000), r.pageWords);
+    for (auto _ : state) {
+        r.cpu.copyRange(VirtAddr(0x101000), VirtAddr(0x100000),
+                        r.pageWords);
+    }
+    state.SetItemsProcessed(state.iterations() * r.pageWords);
+}
+BENCHMARK(BM_CpuCopyRangeHit);
+
+void
+BM_CpuCopyRangeConflict(benchmark::State &state)
+{
+    // A page copy between same-colour windows: every source line and
+    // destination line fight over one direct-mapped set.
+    RangeRig r;
+    for (auto _ : state) {
+        r.cpu.copyRange(VirtAddr(0x110000), VirtAddr(0x100000),
+                        r.pageWords);
+    }
+    state.SetItemsProcessed(state.iterations() * r.pageWords);
+}
+BENCHMARK(BM_CpuCopyRangeConflict);
 
 void
 BM_ConsistencyFaultRoundTrip(benchmark::State &state)

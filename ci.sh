@@ -17,7 +17,7 @@
 #      budget — the guarded kernel orderings must be race- and
 #      violation-free under every policy, the broken-ordering
 #      exemplars must produce an oracle-confirmed race with a
-#      replayable minimal schedule, and the machine-readable v3
+#      replayable minimal schedule, and the machine-readable v4
 #      report is archived (VERIFY_interleave.json);
 #   5. weak-order exploration + fuzz smoke: the same explorer rerun
 #      with --memory-order weak (per-CPU store buffers, drain events
@@ -42,7 +42,7 @@
 #      each layer's hot path) runs once at a short min-time, gated on
 #      its exit status only — the numbers are host-dependent, the
 #      rows must simply keep building and running;
-#   7. perf smoke: vic_bench --smoke rebuilt at Release (-O2) and run
+#   7. perf smoke: vic_bench --smoke rebuilt at Release (-O3) and run
 #      with --shards 2 (the intra-run shard path must be exercised by
 #      every CI pass), its artifact asserted equivalent to the
 #      default build's (the pipeline's functional behaviour must not
@@ -132,7 +132,7 @@ rm -f BENCH_smoke_j1.json
 step "micro-benchmark smoke (micro_ops, exit status only)"
 ./build/bench/micro_ops --benchmark_min_time=0.01
 
-step "perf smoke (Release -O2, shards, artifact equivalence, ratchet)"
+step "perf smoke (Release -O3, shards, artifact equivalence, ratchet)"
 cmake -B build-release -S . -DCMAKE_BUILD_TYPE=Release >/dev/null
 cmake --build build-release -j "$JOBS" --target vic_bench
 # --shards 2 exercises the intra-run shard path; the artifact must

@@ -216,6 +216,72 @@ Cache::write(VirtAddr va, PhysAddr pa, std::uint32_t value)
     lineData(id)[word_in_line] = value;
 }
 
+const std::uint32_t *
+Cache::copyRun(VirtAddr src_va, PhysAddr src_pa, VirtAddr dst_va,
+               PhysAddr dst_pa, std::uint32_t n)
+{
+    vic_assert(n > 0, "empty copy run");
+    const std::uint64_t src_tag = src_pa.value / geo.lineBytes();
+    const std::uint64_t dst_tag = dst_pa.value / geo.lineBytes();
+    if (policy != WritePolicy::WriteBack || src_tag == dst_tag)
+        return nullptr;
+    const std::uint32_t src_set = geo.setIndex(indexBits(src_va, src_pa));
+    const std::uint32_t dst_set = geo.setIndex(indexBits(dst_va, dst_pa));
+    const int src_way = findWay(src_set, src_pa);
+    const int dst_way = findWay(dst_set, dst_pa);
+
+    if (src_way >= 0 && dst_way >= 0) {
+        // Both lines present: 2n hits, the source touched last just
+        // before the destination's final store.
+        const std::uint32_t src_id =
+            lineId(src_set, static_cast<std::uint32_t>(src_way));
+        const std::uint32_t dst_id =
+            lineId(dst_set, static_cast<std::uint32_t>(dst_way));
+        if (bus != nullptr && lineState[dst_id] == MesiState::Shared)
+            return nullptr;
+        statReads += n;
+        statWrites += n;
+        statHits += 2 * std::uint64_t(n);
+        clk.advance(2 * Cycles(n) * costs.hit);
+        useTick += 2 * std::uint64_t(n);
+        lineUse[src_id] = useTick - 1;
+        lineUse[dst_id] = useTick;
+        lineState[dst_id] = MesiState::Modified;
+        std::uint32_t *out = lineData(dst_id) + wordInLine(dst_pa);
+        std::copy_n(lineData(src_id) + wordInLine(src_pa), n, out);
+        return out;
+    }
+
+    // Conflict closed form: source and destination share the one way
+    // of a set that holds the destination Modified. Every pair then
+    // misses twice: the load writes the destination back and fills
+    // the source; the store fills the destination (just written back)
+    // and writes one word. Memory sees the destination as it stood
+    // before the last store; copies[] ends where it began. (With the
+    // destination in the set's one way, the source is absent.)
+    const std::uint32_t id = lineId(dst_set, 0);
+    if (bus != nullptr || selfSnoop || geo.associativity() != 1 ||
+        src_set != dst_set || dst_way != 0 ||
+        lineState[id] != MesiState::Modified)
+        return nullptr;
+    std::uint32_t *line = lineData(id);
+    std::uint32_t *out = line + wordInLine(dst_pa);
+    mem.readWords(src_pa, out, n - 1);
+    mem.writeWords(PhysAddr(dst_tag * geo.lineBytes()), line,
+                   geo.wordsPerLine());
+    out[n - 1] = mem.readWord(src_pa.plus(std::uint64_t(n - 1) * 4));
+    statReads += n;
+    statWrites += n;
+    statMisses += 2 * std::uint64_t(n);
+    statFills += 2 * std::uint64_t(n);
+    statWriteBacks += n;
+    clk.advance(Cycles(n) * (2 * costs.hit + costs.writeBackPenalty +
+                             2 * costs.missPenalty));
+    useTick += 2 * std::uint64_t(n);
+    lineUse[id] = useTick;
+    return out;
+}
+
 void
 Cache::chargeLineOps(bool write_back, std::uint32_t present,
                      std::uint32_t absent)

@@ -29,6 +29,7 @@
 #ifndef VIC_CACHE_CACHE_HH
 #define VIC_CACHE_CACHE_HH
 
+#include <algorithm>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -150,32 +151,56 @@ class Cache
     bool
     tryReadHit(VirtAddr va, PhysAddr pa, std::uint32_t &value)
     {
-        const std::uint32_t set = geo.setIndex(indexBits(va, pa));
-        const int way = findWay(set, pa);
-        if (way < 0)
+        const std::uint32_t *word = readRun(va, pa, 1);
+        if (word == nullptr)
             return false;
-        ++statReads;
-        ++statHits;
-        clk.advance(costs.hit);
-        const std::uint32_t id =
-            lineId(set, static_cast<std::uint32_t>(way));
-        lineUse[id] = ++useTick;
-        value = lineData(id)[
-            static_cast<std::uint32_t>((pa.value / 4) %
-                                       geo.wordsPerLine())];
+        value = *word;
         return true;
     }
 
     /**
      * Access-pipeline fast path for stores: the write-back, line-hit
-     * analogue of tryReadHit(). Returns false — with no accounting —
-     * on a line miss, for a write-through cache (whose stores always
-     * touch memory), or for a Shared line on a coherence bus (which
-     * must broadcast an upgrade first); the caller falls back to
-     * write().
+     * analogue of tryReadHit(), a one-word writeRun(). When it returns
+     * false the caller falls back to write().
      */
     bool
     tryWriteHit(VirtAddr va, PhysAddr pa, std::uint32_t value)
+    { return writeRun(va, pa, &value, 1); }
+
+    /**
+     * Line run of loads: the @p n words from (@p va -> @p pa) on, all
+     * in one line. If the line is present, account n read hits as
+     * n read() calls would and return the line's words from @p pa's
+     * on; otherwise touch nothing and return nullptr.
+     */
+    const std::uint32_t *
+    readRun(VirtAddr va, PhysAddr pa, std::uint32_t n)
+    {
+        const std::uint32_t set = geo.setIndex(indexBits(va, pa));
+        const int way = findWay(set, pa);
+        if (way < 0)
+            return nullptr;
+        statReads += n;
+        statHits += n;
+        clk.advance(Cycles(n) * costs.hit);
+        const std::uint32_t id =
+            lineId(set, static_cast<std::uint32_t>(way));
+        useTick += n;
+        lineUse[id] = useTick;
+        return lineData(id) + wordInLine(pa);
+    }
+
+    /**
+     * Line run of stores: @p values to the @p n words from
+     * (@p va -> @p pa) on, all in one line. Refuses — returning false
+     * with no accounting — for a write-through cache (whose stores
+     * always touch memory), an absent line, or a Shared line on a
+     * coherence bus (which must broadcast an upgrade first); otherwise
+     * leaves the state of n write() hits.
+     */
+    bool
+    writeRun(VirtAddr va, PhysAddr pa, const std::uint32_t *values,
+             std::uint32_t n)
     {
         if (policy != WritePolicy::WriteBack)
             return false;
@@ -187,15 +212,29 @@ class Cache
             lineId(set, static_cast<std::uint32_t>(way));
         if (bus != nullptr && lineState[id] == MesiState::Shared)
             return false;
-        ++statWrites;
-        ++statHits;
-        clk.advance(costs.hit);
-        lineUse[id] = ++useTick;
+        statWrites += n;
+        statHits += n;
+        clk.advance(Cycles(n) * costs.hit);
+        useTick += n;
+        lineUse[id] = useTick;
         lineState[id] = MesiState::Modified;
-        lineData(id)[static_cast<std::uint32_t>(
-            (pa.value / 4) % geo.wordsPerLine())] = value;
+        std::copy_n(values, n, lineData(id) + wordInLine(pa));
         return true;
     }
+
+    /**
+     * Line run of a copy loop: n times, a read of word i of the source
+     * line then a write of it to word i of the destination line
+     * (@p n words from each address on, each run within one line, the
+     * two on different physical lines). Completes the run in one step
+     * in two cases — both lines present (all hits), or the conflict
+     * closed form (DESIGN.md "Line runs") — and returns the
+     * destination line's words from @p dst_pa's on, which hold the
+     * copied values. Otherwise touches nothing and returns nullptr.
+     */
+    const std::uint32_t *copyRun(VirtAddr src_va, PhysAddr src_pa,
+                                 VirtAddr dst_va, PhysAddr dst_pa,
+                                 std::uint32_t n);
 
     /**
      * Hardware "flush virtual address": remove the line containing
@@ -345,6 +384,12 @@ class Cache
     { return data.data() + std::uint64_t(line_id) * geo.wordsPerLine(); }
     const std::uint32_t *lineData(std::uint32_t line_id) const
     { return data.data() + std::uint64_t(line_id) * geo.wordsPerLine(); }
+
+    std::uint32_t wordInLine(PhysAddr pa) const
+    {
+        return static_cast<std::uint32_t>((pa.value / 4) %
+                                          geo.wordsPerLine());
+    }
 
     bool lineValid(std::uint32_t id) const
     { return lineState[id] != MesiState::Invalid; }

@@ -139,29 +139,42 @@ DmaEngine::executeBeat(std::size_t index)
     const std::uint32_t words = beatWords(t);
     clk.advance(costs.perWord * words);
 
-    for (std::uint32_t i = 0; i < words; ++i) {
-        const PhysAddr addr =
-            t.pa.plus(std::uint64_t(t.done + i) * 4);
+    if (snooped.empty()) {
+        // The beat moves as one block and is reported as one run.
+        const PhysAddr addr = t.pa.plus(std::uint64_t(t.done) * 4);
         if (t.deviceWrites) {
-            if (!snooped.empty()) {
+            const std::uint32_t *in = t.buf.data() + t.done;
+            mem.writeWords(addr, in, words);
+            if (observer)
+                observer->dmaWriteRun(addr, in, words);
+        } else {
+            std::uint32_t *out = t.out + t.done;
+            mem.readWords(addr, out, words);
+            if (observer)
+                observer->dmaReadRun(addr, out, words);
+        }
+    } else {
+        // Snooped: per word, the snoop before the word moves.
+        for (std::uint32_t i = 0; i < words; ++i) {
+            const PhysAddr addr =
+                t.pa.plus(std::uint64_t(t.done + i) * 4);
+            if (t.deviceWrites) {
                 // Coherent DMA: kill any cached copies so later CPU
                 // reads miss and fetch the new data.
                 for (Cache *c : snooped)
                     c->snoopInvalidateLine(addr);
-            }
-            mem.writeWord(addr, t.buf[t.done + i]);
-            if (observer)
-                observer->dmaWrite(addr, t.buf[t.done + i]);
-        } else {
-            if (!snooped.empty()) {
+                mem.writeWord(addr, t.buf[t.done + i]);
+                if (observer)
+                    observer->dmaWrite(addr, t.buf[t.done + i]);
+            } else {
                 // Coherent DMA: pull dirty data out of the caches
                 // first.
                 for (Cache *c : snooped)
                     c->snoopWriteBackLine(addr);
+                t.out[t.done + i] = mem.readWord(addr);
+                if (observer)
+                    observer->dmaRead(addr, t.out[t.done + i]);
             }
-            t.out[t.done + i] = mem.readWord(addr);
-            if (observer)
-                observer->dmaRead(addr, t.out[t.done + i]);
         }
     }
     t.done += words;

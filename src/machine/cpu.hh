@@ -21,11 +21,17 @@
  * period (Machine::setObserverSampling), so observability costs one
  * predictable branch when off.
  *
- * A batched API (run(), loadRange(), storeRange(), ifetchRange())
- * issues many accesses per call — semantically identical to a loop of
- * load()/store()/ifetch() (same stats, cycles, faults, observer
- * callbacks, in the same order) while amortizing per-call dispatch;
- * the OS kernel and the mc executor drive it.
+ * A batched API (run(), loadRange(), storeRange(), copyRange(),
+ * ifetchRange()) issues many accesses per call — semantically
+ * identical to a loop of load()/store()/ifetch() (same values, stats,
+ * cycles, faults, TLB and cache LRU state, and observer callbacks).
+ * Beyond amortising per-call dispatch, the stride-4 data ranges
+ * simulate each run of words that falls in one cache line in one step
+ * — one TLB peek and one cache probe per line, and a closed form for
+ * a copy whose source and destination lines thrash one direct-mapped
+ * set (DESIGN.md "Line runs"). Anything a run cannot complete exactly
+ * falls back to the per-word pipeline for one word. The OS kernel and
+ * the mc executor drive this API.
  */
 
 #ifndef VIC_MACHINE_CPU_HH
@@ -34,6 +40,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <functional>
+#include <vector>
 
 #include "common/types.hh"
 #include "machine/machine.hh"
@@ -97,6 +104,10 @@ class Cpu
                     std::uint32_t stride_bytes, std::uint32_t seed,
                     std::uint32_t seed_step);
 
+    /** Issue @p count copies of a word: for each i, a load of
+     *  @p src + 4i, then a store of the loaded word to @p dst + 4i. */
+    void copyRange(VirtAddr dst, VirtAddr src, std::uint32_t count);
+
     /** Issue @p count instruction fetches with stride @p stride_bytes. */
     void ifetchRange(VirtAddr base, std::uint32_t count,
                      std::uint32_t stride_bytes);
@@ -122,12 +133,53 @@ class Cpu
     Cache &icacheRef;
     const std::uint64_t pageOffsetMask; ///< pageBytes - 1
     const std::uint64_t pageBytesC;     ///< pageBytes
+    const std::uint32_t lineBytesC;     ///< d-cache line bytes
 
     std::uint32_t obsTick = 0; ///< sampling counter (period > 1 only)
+
+    std::vector<std::uint32_t> runValues; ///< one line of store values
 
     /** Core access path shared by load/store/ifetch. */
     std::uint32_t access(AccessType type, VirtAddr va,
                          std::uint32_t store_value);
+
+    /** access() after its alignment check. */
+    std::uint32_t accessAligned(AccessType type, VirtAddr va,
+                                std::uint32_t store_value);
+
+    /** Line runs are exact only while every access reaches the
+     *  observer (a sampling period counts single accesses). */
+    bool runsEnabled() const { return mach.observerSamplePeriod() <= 1; }
+
+    /** A write-through d-cache refuses every store run. */
+    bool
+    storeRunsEnabled() const
+    {
+        return runsEnabled() &&
+            dcacheRef.writePolicy() == WritePolicy::WriteBack;
+    }
+
+    /** Words from @p va to the end of its d-cache line, capped at
+     *  @p limit. */
+    std::uint32_t
+    runLength(VirtAddr va, std::uint32_t limit) const
+    {
+        const std::uint32_t left = static_cast<std::uint32_t>(
+            (lineBytesC - va.value % lineBytesC) / 4);
+        return left < limit ? left : limit;
+    }
+
+    /** Physical address of @p va through the translation @p pte. */
+    PhysAddr
+    physOf(const PageTableEntry &pte, VirtAddr va) const
+    { return PhysAddr(pte.frame * pageBytesC + (va.value & pageOffsetMask)); }
+
+    /** Line runs of at most @p limit words at @p va (@p dst for a
+     *  copy). @return the words completed, 0 if refused. */
+    std::uint32_t loadRun(VirtAddr va, std::uint32_t limit);
+    std::uint32_t storeRun(VirtAddr va, std::uint32_t limit,
+                           std::uint32_t first_value, std::uint32_t step);
+    std::uint32_t copyRun(VirtAddr dst, VirtAddr src, std::uint32_t limit);
 
     /** Stages index/tag-check/account for a translated, permitted
      *  access. */

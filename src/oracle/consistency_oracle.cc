@@ -6,82 +6,133 @@ namespace vic
 {
 
 ConsistencyOracle::ConsistencyOracle(std::uint64_t memory_bytes)
-    : shadow(memory_bytes / 4), defined(memory_bytes / 4, false)
+    : shadow(memory_bytes / 4), defined((memory_bytes / 4 + 63) / 64)
 {
 }
 
 std::uint64_t
-ConsistencyOracle::index(PhysAddr pa) const
+ConsistencyOracle::index(PhysAddr pa, std::uint32_t n) const
 {
     vic_assert(pa.value % 4 == 0, "unaligned oracle access %llx",
                (unsigned long long)pa.value);
     const std::uint64_t idx = pa.value / 4;
-    vic_assert(idx < shadow.size(), "oracle address %llx out of range",
+    vic_assert(idx < shadow.size() && n <= shadow.size() - idx,
+               "oracle address %llx out of range",
                (unsigned long long)pa.value);
     return idx;
 }
 
 void
-ConsistencyOracle::record(PhysAddr pa, std::uint32_t value)
+ConsistencyOracle::record(PhysAddr pa, const std::uint32_t *values,
+                          std::uint32_t n)
 {
-    const std::uint64_t idx = index(pa);
-    shadow[idx] = value;
-    defined[idx] = true;
+    const std::uint64_t first = index(pa, n);
+    for (std::uint32_t i = 0; i < n; ++i) {
+        const std::uint64_t idx = first + i;
+        shadow[idx] = values[i];
+        defined[idx / 64] |= std::uint64_t(1) << (idx % 64);
+    }
 }
 
 void
-ConsistencyOracle::check(PhysAddr pa, std::uint32_t observed,
-                         const char *kind)
+ConsistencyOracle::check(PhysAddr pa, const std::uint32_t *observed,
+                         std::uint32_t n, const char *kind)
 {
-    const std::uint64_t idx = index(pa);
-    ++checked;
-    if (!defined[idx])
-        return;  // never written: nothing to compare against
-    if (shadow[idx] == observed)
-        return;
-    ++totalViolations;
-    const Violation v{pa, shadow[idx], observed, kind};
-    if (faults.size() < maxRecorded)
-        faults.push_back(v);
-    if (violationHook)
-        violationHook(v);
+    const std::uint64_t first = index(pa, n);
+    for (std::uint32_t i = 0; i < n; ++i) {
+        const std::uint64_t idx = first + i;
+        ++checked;
+        // A word never written has nothing to compare against.
+        if (!isDefined(idx) || shadow[idx] == observed[i])
+            continue;
+        ++totalViolations;
+        const Violation v{pa.plus(std::uint64_t(i) * 4), shadow[idx],
+                          observed[i], kind};
+        if (faults.size() < maxRecorded)
+            faults.push_back(v);
+        if (violationHook)
+            violationHook(v);
+    }
 }
 
 void
 ConsistencyOracle::cpuLoad(PhysAddr pa, std::uint32_t observed)
 {
-    check(pa, observed, "cpu-load");
+    check(pa, &observed, 1, "cpu-load");
 }
 
 void
 ConsistencyOracle::cpuIFetch(PhysAddr pa, std::uint32_t observed)
 {
-    check(pa, observed, "cpu-ifetch");
+    check(pa, &observed, 1, "cpu-ifetch");
 }
 
 void
 ConsistencyOracle::cpuStore(PhysAddr pa, std::uint32_t value)
 {
-    record(pa, value);
+    record(pa, &value, 1);
 }
 
 void
 ConsistencyOracle::dmaWrite(PhysAddr pa, std::uint32_t value)
 {
-    record(pa, value);
+    record(pa, &value, 1);
 }
 
 void
 ConsistencyOracle::dmaRead(PhysAddr pa, std::uint32_t observed)
 {
-    check(pa, observed, "dma-read");
+    check(pa, &observed, 1, "dma-read");
+}
+
+void
+ConsistencyOracle::cpuLoadRun(PhysAddr pa, const std::uint32_t *words,
+                              std::uint32_t n)
+{
+    check(pa, words, n, "cpu-load");
+}
+
+void
+ConsistencyOracle::cpuStoreRun(PhysAddr pa, const std::uint32_t *words,
+                               std::uint32_t n)
+{
+    record(pa, words, n);
+}
+
+void
+ConsistencyOracle::cpuCopyRun(PhysAddr src, PhysAddr dst,
+                              const std::uint32_t *words, std::uint32_t n)
+{
+    // The runs are disjoint, so checking every load before recording
+    // any store gives the per-word outcome.
+    const std::uint64_t bytes = std::uint64_t(n) * 4;
+    vic_assert(src.value + bytes <= dst.value ||
+                   dst.value + bytes <= src.value,
+               "overlapping copy run %llx -> %llx",
+               (unsigned long long)src.value, (unsigned long long)dst.value);
+    check(src, words, n, "cpu-load");
+    record(dst, words, n);
+}
+
+void
+ConsistencyOracle::dmaWriteRun(PhysAddr pa, const std::uint32_t *words,
+                               std::uint32_t n)
+{
+    record(pa, words, n);
+}
+
+void
+ConsistencyOracle::dmaReadRun(PhysAddr pa, const std::uint32_t *words,
+                              std::uint32_t n)
+{
+    check(pa, words, n, "dma-read");
 }
 
 void
 ConsistencyOracle::reset()
 {
     shadow.clear();
-    std::fill(defined.begin(), defined.end(), false);
+    defined.clear();
     faults.clear();
     totalViolations = 0;
     checked = 0;

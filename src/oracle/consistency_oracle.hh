@@ -53,6 +53,16 @@ class ConsistencyOracle : public MemoryObserver
     void cpuStore(PhysAddr pa, std::uint32_t value) override;
     void dmaWrite(PhysAddr pa, std::uint32_t value) override;
     void dmaRead(PhysAddr pa, std::uint32_t observed) override;
+    void cpuLoadRun(PhysAddr pa, const std::uint32_t *words,
+                    std::uint32_t n) override;
+    void cpuStoreRun(PhysAddr pa, const std::uint32_t *words,
+                     std::uint32_t n) override;
+    void cpuCopyRun(PhysAddr src, PhysAddr dst, const std::uint32_t *words,
+                    std::uint32_t n) override;
+    void dmaWriteRun(PhysAddr pa, const std::uint32_t *words,
+                     std::uint32_t n) override;
+    void dmaReadRun(PhysAddr pa, const std::uint32_t *words,
+                    std::uint32_t n) override;
 
     /** @return true iff no violation has been observed. */
     bool clean() const { return faults.empty(); }
@@ -86,14 +96,19 @@ class ConsistencyOracle : public MemoryObserver
     std::function<void(const Violation &)> violationHook;
 
     ZeroedArray<std::uint32_t> shadow;
-    std::vector<bool> defined;
+    ZeroedArray<std::uint64_t> defined; ///< bit i: word i was written
     std::vector<Violation> faults;
     std::uint64_t totalViolations = 0;
     std::uint64_t checked = 0;
 
-    std::uint64_t index(PhysAddr pa) const;
-    void record(PhysAddr pa, std::uint32_t value);
-    void check(PhysAddr pa, std::uint32_t observed, const char *kind);
+    /** Word index of @p pa, whose @p n words must be aligned and in
+     *  range (checked once for the whole run). */
+    std::uint64_t index(PhysAddr pa, std::uint32_t n) const;
+    bool isDefined(std::uint64_t idx) const
+    { return (defined[idx / 64] >> (idx % 64)) & 1; }
+    void record(PhysAddr pa, const std::uint32_t *values, std::uint32_t n);
+    void check(PhysAddr pa, const std::uint32_t *observed, std::uint32_t n,
+               const char *kind);
 };
 
 } // namespace vic

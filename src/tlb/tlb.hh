@@ -79,6 +79,60 @@ class Tlb
         return translateFull(page);
     }
 
+    /** A resident translation found by peek(). */
+    struct Resident
+    {
+        PageTableEntry *pte = nullptr; ///< nullptr: not resident
+        std::uint32_t slot = 0;
+    };
+
+    /**
+     * Find the resident translation of the page containing @p key.va
+     * with no accounting and no refill. Line runs (Cpu) peek first and
+     * charge the hits they commit with noteHits()/notePairHits().
+     */
+    Resident
+    peek(SpaceVa key) const
+    {
+        const SpaceVa page(key.space, pageTable.pageBase(key.va));
+        const Entry *e = mru;
+        if (e == nullptr || !e->valid || e->page != page) {
+            auto it = slotIndex.find(page);
+            if (it == slotIndex.end())
+                return {};
+            e = &entries[it->second];
+        }
+        return {e->pte, static_cast<std::uint32_t>(e - entries.data())};
+    }
+
+    /** Account @p n translate() hits on @p r: the state n calls leave. */
+    void
+    noteHits(const Resident &r, std::uint32_t n)
+    {
+        Entry &e = entries[r.slot];
+        useTick += n;
+        e.lastUse = useTick;
+        statHits += n;
+        mru = &e;
+    }
+
+    /** Account @p n alternating translate() hits, @p first then
+     *  @p second each time. */
+    void
+    notePairHits(const Resident &first, const Resident &second,
+                 std::uint32_t n)
+    {
+        if (first.slot == second.slot) {
+            noteHits(first, 2 * n);
+            return;
+        }
+        useTick += 2 * std::uint64_t(n);
+        entries[first.slot].lastUse = useTick - 1;
+        entries[second.slot].lastUse = useTick;
+        statHits += 2 * std::uint64_t(n);
+        mru = &entries[second.slot];
+    }
+
     /** Drop the cached entry for one page, if any. */
     void invalidatePage(SpaceVa key);
 

@@ -2,14 +2,22 @@
  *  pipeline"): fast-path vs slow-path equivalence on aliased pages,
  *  the fault-retry boundary, referenced/modified bits through the
  *  TLB's mutable PTE handle, page-table walks per access, observer
- *  sampling, and batched-vs-single access identity. */
+ *  sampling, and batched-vs-single access identity, including the
+ *  line runs of the ranged calls on seeded twin machines. */
 
 #include <gtest/gtest.h>
 
+#include <map>
+#include <optional>
+#include <ostream>
+#include <string>
+#include <tuple>
 #include <vector>
 
+#include "common/random.hh"
 #include "machine/cpu.hh"
 #include "machine/machine.hh"
+#include "oracle/consistency_oracle.hh"
 
 namespace vic
 {
@@ -328,6 +336,437 @@ TEST(AccessPipelineBatch, BatchedMatchesSingleAccessExactly)
     EXPECT_EQ(single_cpu.faultCount(), batched_cpu.faultCount());
     EXPECT_EQ(single.stats().snapshot(), batched.stats().snapshot());
 }
+
+// ---------------------------------------------------------------------
+// Line runs: seeded twin machines, per-word loops vs ranged calls.
+// ---------------------------------------------------------------------
+
+/** One machine configuration of the twin test. */
+struct TwinCase
+{
+    std::string name;
+    MachineParams params;
+    bool peerShares = false;        ///< CPU 1 keeps Shared copies
+    std::uint32_t samplePeriod = 1; ///< observer sampling period
+    bool logCalls = false;          ///< observe through a per-word log
+};
+
+void
+PrintTo(const TwinCase &tc, std::ostream *os)
+{
+    *os << tc.name;
+}
+
+/** Forwards every per-word transfer to the oracle and logs it. The
+ *  run hooks keep their defaults, so the log is the per-word call
+ *  sequence whichever way the accesses were issued. */
+struct CallLog : MemoryObserver
+{
+    explicit CallLog(ConsistencyOracle &golden) : oracle(golden) {}
+
+    ConsistencyOracle &oracle;
+    std::vector<std::tuple<char, std::uint64_t, std::uint32_t>> calls;
+
+    void
+    cpuLoad(PhysAddr pa, std::uint32_t v) override
+    {
+        calls.emplace_back('L', pa.value, v);
+        oracle.cpuLoad(pa, v);
+    }
+    void
+    cpuIFetch(PhysAddr pa, std::uint32_t v) override
+    {
+        calls.emplace_back('I', pa.value, v);
+        oracle.cpuIFetch(pa, v);
+    }
+    void
+    cpuStore(PhysAddr pa, std::uint32_t v) override
+    {
+        calls.emplace_back('S', pa.value, v);
+        oracle.cpuStore(pa, v);
+    }
+};
+
+/** Virtual pages of the twin layout, in space 1. Group A is six
+ *  consecutive pages; page A3 starts unmapped and A4 read-only, so
+ *  ranges fault in their middle. Group B shares A0..A2's d-cache
+ *  colours on frames of its own (copies between them thrash one
+ *  direct-mapped set). Group C aliases A0's frame at another colour. */
+constexpr std::uint64_t groupBase[] = {0x100000, 0x110000, 0x121000};
+constexpr std::uint32_t groupPages[] = {6, 3, 1};
+constexpr std::uint64_t pageA3 = 0x103000;
+constexpr std::uint64_t pageA4 = 0x104000;
+
+struct Twin
+{
+    explicit Twin(const TwinCase &tc)
+        : m(tc.params), cpu(m, 0), oracle(m.memory().sizeBytes()),
+          log(oracle)
+    {
+        const std::uint32_t page = m.pageBytes();
+        frames[groupBase[2]] = 10; // C0 aliases A0
+        for (std::uint32_t g = 0; g < 2; ++g) {
+            for (std::uint32_t k = 0; k < groupPages[g]; ++k)
+                frames[groupBase[g] + k * page] = 10 + 10 * g + k;
+        }
+        for (const auto &[va, frame] : frames) {
+            if (va != pageA3) {
+                m.pageTable().enter(SpaceVa(1, VirtAddr(va)), frame,
+                                    va == pageA4 ? Protection::readOnly()
+                                                 : Protection::readWrite());
+            }
+        }
+        m.setObserver(tc.logCalls ? static_cast<MemoryObserver *>(&log)
+                                  : &oracle);
+        m.setObserverSampling(tc.samplePeriod);
+        auto repair = [this](const Fault &f) {
+            const SpaceVa page_key(
+                1, VirtAddr(f.address.va.value & ~std::uint64_t(
+                                                     m.pageBytes() - 1)));
+            if (f.type == FaultType::Unmapped)
+                m.pageTable().enter(page_key, frames.at(page_key.va.value),
+                                    Protection::readWrite());
+            else
+                m.pageTable().setProtection(page_key,
+                                            Protection::readWrite());
+            return true;
+        };
+        cpu.setSpace(1);
+        cpu.setFaultHandler(repair);
+        if (m.numCpus() > 1) {
+            peer.emplace(m, 1);
+            peer->setSpace(1);
+            peer->setFaultHandler(repair);
+        }
+    }
+
+    /** Unmap A3 and write-protect A4 again, so later ranges fault,
+     *  and clear every referenced and modified bit, as pageout does. */
+    void
+    rearmTraps()
+    {
+        for (const auto &entry : frames) {
+            PageTableEntry *pte =
+                m.pageTable().lookupMutable(SpaceVa(1, VirtAddr(entry.first)));
+            if (pte != nullptr) {
+                pte->referenced = false;
+                pte->modified = false;
+            }
+        }
+        const SpaceVa a3(1, VirtAddr(pageA3));
+        if (m.pageTable().lookupMutable(a3) != nullptr) {
+            for (std::uint32_t c = 0; c < m.numCpus(); ++c)
+                m.tlb(c).invalidatePage(a3);
+            m.pageTable().remove(a3);
+        }
+        m.pageTable().setProtection(SpaceVa(1, VirtAddr(pageA4)),
+                                    Protection::readOnly());
+    }
+
+    Machine m;
+    Cpu cpu;
+    std::optional<Cpu> peer;
+    ConsistencyOracle oracle;
+    CallLog log;
+    std::map<std::uint64_t, FrameId> frames; ///< page va -> frame
+};
+
+/** One operation of the twin stream. */
+struct TwinOp
+{
+    enum Kind { Load, Store, Copy, Single, Rearm } kind;
+    VirtAddr dst;            ///< range base (copy destination)
+    VirtAddr src;            ///< copy source
+    std::uint32_t count = 0; ///< words
+    std::uint32_t seed = 0;
+    std::uint32_t step = 0;
+};
+
+/** Ops of the directed prologue at the head of every twin stream. */
+constexpr std::size_t twinPrologueOps = 6;
+
+/** A word-aligned address in a random page of a random group, at page
+ *  offset @p offset if given; @p room receives the words left to the
+ *  group's end. */
+VirtAddr
+pickAddr(Random &rng, std::uint32_t page_bytes, std::uint32_t &room,
+         std::optional<std::uint64_t> offset = std::nullopt)
+{
+    const std::uint32_t g = static_cast<std::uint32_t>(rng.below(3));
+    const std::uint64_t page = rng.below(groupPages[g]);
+    const std::uint64_t off =
+        offset ? *offset : rng.below(page_bytes / 4) * 4;
+    room = static_cast<std::uint32_t>(
+        ((groupPages[g] - page) * page_bytes - off) / 4);
+    return VirtAddr(groupBase[g] + page * page_bytes + off);
+}
+
+std::vector<TwinOp>
+twinStream(std::uint64_t seed, std::uint32_t page_bytes, std::size_t n)
+{
+    Random rng(seed);
+    const std::uint32_t words = page_bytes / 4;
+    const VirtAddr a0(groupBase[0]), a2(groupBase[0] + 2 * page_bytes);
+    const VirtAddr b0(groupBase[1]), c0(groupBase[2]);
+    // A directed prologue first. A page whose lines are all present
+    // takes only runs (its PTE bits are set by runs alone; under
+    // physical indexing C0 hits A0's lines). Then B0 is dirtied and
+    // A0's frame loaded through C0, so a same-colour copy A0 -> B0
+    // meets a set holding its destination Modified at every line,
+    // with a synonym of its source present elsewhere.
+    std::vector<TwinOp> ops = {
+        {TwinOp::Load, a2, {}, words, 0, 0},
+        {TwinOp::Store, a2, {}, words, 7, 1},
+        {TwinOp::Load, a0, {}, words, 0, 0},
+        {TwinOp::Load, c0, {}, words, 0, 0},
+        {TwinOp::Store, b0, {}, words, 9, 2},
+        {TwinOp::Copy, b0, a0, words, 0, 0},
+    };
+    static_assert(twinPrologueOps == 6);
+    // Counts reach past two pages, so runs cross line and page
+    // boundaries from unaligned starts.
+    const std::uint32_t max_count = 2 * page_bytes / 4 + 40;
+    for (std::size_t i = 0; i < n; ++i) {
+        TwinOp op{};
+        const std::uint64_t roll = rng.below(20);
+        op.kind = roll < 5    ? TwinOp::Load
+                  : roll < 10 ? TwinOp::Store
+                  : roll < 16 ? TwinOp::Copy
+                  : roll < 19 ? TwinOp::Single
+                              : TwinOp::Rearm;
+        std::uint32_t room = 0;
+        op.dst = pickAddr(rng, page_bytes, room);
+        if (op.kind == TwinOp::Copy) {
+            // Half the copies keep the page offset: between A and B
+            // that is the same colour, so the two lines share a set.
+            std::uint32_t src_room = 0;
+            op.src = pickAddr(rng, page_bytes, src_room,
+                              rng.chance(1, 2)
+                                  ? std::optional<std::uint64_t>(
+                                        op.dst.value % page_bytes)
+                                  : std::nullopt);
+            room = std::min(room, src_room);
+        }
+        op.count = 1 + static_cast<std::uint32_t>(
+                           rng.below(std::min(room, max_count)));
+        op.seed = static_cast<std::uint32_t>(rng.next64());
+        op.step = static_cast<std::uint32_t>(rng.below(3));
+        ops.push_back(op);
+    }
+    // Epilogue: the last touch of pages A1 and B2 is one copy run
+    // between two present lines, so the TLB order of its source and
+    // destination reaches lruTail().
+    const VirtAddr a1(groupBase[0] + page_bytes);
+    const VirtAddr b2(groupBase[1] + 2 * page_bytes);
+    ops.push_back({TwinOp::Load, a1, {}, 8, 0, 0});
+    ops.push_back({TwinOp::Load, b2, {}, 8, 0, 0});
+    ops.push_back({TwinOp::Copy, b2, a1, 8, 0, 0});
+    return ops;
+}
+
+/** Issue @p op on @p t: as per-word load()/store() loops, or as the
+ *  ranged calls. Single ops are issued the same way on both. */
+void
+issue(Twin &t, const TwinOp &op, bool ranged)
+{
+    Cpu &c = t.cpu;
+    switch (op.kind) {
+      case TwinOp::Load:
+        if (ranged) {
+            c.loadRange(op.dst, op.count, 4);
+        } else {
+            for (std::uint32_t i = 0; i < op.count; ++i)
+                (void)c.load(op.dst.plus(4 * i));
+        }
+        return;
+      case TwinOp::Store:
+        if (ranged) {
+            c.storeRange(op.dst, op.count, 4, op.seed, op.step);
+        } else {
+            for (std::uint32_t i = 0; i < op.count; ++i)
+                c.store(op.dst.plus(4 * i), op.seed + i * op.step);
+        }
+        return;
+      case TwinOp::Copy:
+        if (ranged) {
+            c.copyRange(op.dst, op.src, op.count);
+        } else {
+            for (std::uint32_t i = 0; i < op.count; ++i)
+                c.store(op.dst.plus(4 * i), c.load(op.src.plus(4 * i)));
+        }
+        return;
+      case TwinOp::Single: {
+          // A peer load leaves a Shared copy behind; otherwise one
+          // store and one load on this CPU.
+          Cpu &who = t.peer ? *t.peer : c;
+          (void)who.load(op.dst);
+          if (!t.peer)
+              c.store(op.dst, op.seed);
+          return;
+      }
+      case TwinOp::Rearm:
+        t.rearmTraps();
+        return;
+    }
+}
+
+/** Every observable of the two machines agrees. */
+void
+expectSameState(Twin &a, Twin &b)
+{
+    EXPECT_EQ(a.m.clock().now(), b.m.clock().now());
+    EXPECT_EQ(a.cpu.faultCount(), b.cpu.faultCount());
+    EXPECT_EQ(a.m.stats().snapshot(), b.m.stats().snapshot());
+    EXPECT_EQ(a.oracle.checkedCount(), b.oracle.checkedCount());
+    EXPECT_EQ(a.oracle.violationCount(), b.oracle.violationCount());
+    EXPECT_TRUE(a.log.calls == b.log.calls);
+
+    const std::uint32_t page = a.m.pageBytes();
+    for (const auto &entry : a.frames) {
+        const SpaceVa key(1, VirtAddr(entry.first));
+        const PageTableEntry *pa = a.m.pageTable().lookupMutable(key);
+        const PageTableEntry *pb = b.m.pageTable().lookupMutable(key);
+        ASSERT_EQ(pa == nullptr, pb == nullptr);
+        if (pa != nullptr) {
+            EXPECT_EQ(pa->referenced, pb->referenced);
+            EXPECT_EQ(pa->modified, pb->modified);
+        }
+    }
+    for (std::uint32_t c = 0; c < a.m.numCpus(); ++c) {
+        EXPECT_TRUE(b.m.dcache(c).copyCountsConsistent());
+        for (const auto &[va, frame] : a.frames) {
+            for (std::uint32_t off = 0; off < page; off += 4) {
+                const VirtAddr v(va + off);
+                const PhysAddr p(frame * page + off);
+                const Cache::Probe pa = a.m.dcache(c).probe(v, p);
+                const Cache::Probe pb = b.m.dcache(c).probe(v, p);
+                ASSERT_EQ(pa.present, pb.present) << std::hex << va + off;
+                ASSERT_EQ(pa.state, pb.state) << std::hex << va + off;
+                ASSERT_EQ(pa.word, pb.word) << std::hex << va + off;
+            }
+        }
+    }
+    const std::uint64_t words = a.m.memory().sizeBytes() / 4;
+    for (std::uint64_t w = 0; w < words; ++w) {
+        ASSERT_EQ(a.m.memory().readWord(PhysAddr(w * 4)),
+                  b.m.memory().readWord(PhysAddr(w * 4)))
+            << "pa " << std::hex << w * 4;
+    }
+}
+
+/**
+ * Reveal the LRU state a run must leave. The d-cache part loads one
+ * fresh line into every set, which evicts the set's least recently
+ * used way (expectSameState then probes which twin lines survived).
+ * The TLB part touches fresh pages one at a time until every twin
+ * page has been evicted, least recent first, and logs after each
+ * touch which twin pages are still resident. @return that log.
+ */
+std::vector<std::vector<bool>>
+lruTail(Twin &t)
+{
+    const std::uint32_t page = t.m.pageBytes();
+    const CacheGeometry &geo = t.m.dcache().geometry();
+    const std::uint32_t colours =
+        geo.numSets() * geo.lineBytes() / page;
+    for (std::uint32_t c = 0; c < colours; ++c) {
+        const VirtAddr va(0x900000 + std::uint64_t(c) * page);
+        t.m.pageTable().enter(SpaceVa(1, va), 300 + c,
+                              Protection::readWrite());
+        for (std::uint32_t off = 0; off < page; off += geo.lineBytes())
+            (void)t.cpu.load(va.plus(off));
+    }
+    std::vector<std::vector<bool>> log;
+    for (std::uint32_t k = 0; k < t.m.params().tlbEntries; ++k) {
+        const VirtAddr va(0x800000 + std::uint64_t(k) * page);
+        t.m.pageTable().enter(SpaceVa(1, va), 100 + k,
+                              Protection::readWrite());
+        (void)t.cpu.load(va);
+        std::vector<bool> resident;
+        for (const auto &entry : t.frames) {
+            resident.push_back(
+                t.m.tlb().peek(SpaceVa(1, VirtAddr(entry.first))).pte !=
+                nullptr);
+        }
+        log.push_back(resident);
+    }
+    return log;
+}
+
+class LineRunTwin : public ::testing::TestWithParam<TwinCase>
+{
+};
+
+TEST_P(LineRunTwin, RangedCallsMatchPerWordLoops)
+{
+    const TwinCase &tc = GetParam();
+    for (const std::uint64_t seed : {1u, 2u, 3u}) {
+        SCOPED_TRACE("seed " + std::to_string(seed));
+        Twin words(tc);
+        Twin ranged(tc);
+        if (tc.peerShares) {
+            // The peer starts with a Shared copy of every other line
+            // of group A, so CPU 0's fills there come up Shared.
+            for (Twin *t : {&words, &ranged}) {
+                for (std::uint64_t off = 0; off < 3 * tc.params.pageBytes;
+                     off += 64)
+                    (void)t->peer->load(VirtAddr(groupBase[0] + off));
+            }
+        }
+        const std::vector<TwinOp> ops =
+            twinStream(seed, tc.params.pageBytes, 250);
+        for (std::size_t i = 0; i < ops.size(); ++i) {
+            if (i == twinPrologueOps)
+                expectSameState(words, ranged);
+            issue(words, ops[i], false);
+            issue(ranged, ops[i], true);
+        }
+        expectSameState(words, ranged);
+        EXPECT_TRUE(lruTail(words) == lruTail(ranged));
+        expectSameState(words, ranged);
+        EXPECT_GT(ranged.oracle.checkedCount(), 0u);
+    }
+}
+
+std::vector<TwinCase>
+twinCases()
+{
+    std::vector<TwinCase> cases;
+    const MachineParams hp = MachineParams::hp720();
+    cases.push_back({"hp720", hp});
+    cases.push_back({"hp720_log", hp, false, 1, true});
+
+    MachineParams p = hp;
+    p.dcacheWays = 2;
+    cases.push_back({"two_way", p});
+
+    p = hp;
+    p.dcacheIndexing = Indexing::Physical;
+    cases.push_back({"physical", p});
+
+    p = hp;
+    p.dcachePolicy = WritePolicy::WriteThrough;
+    cases.push_back({"write_through", p});
+
+    p = hp;
+    p.numCpus = 2;
+    p.cpuCoherence = MachineParams::CpuCoherence::Mesi;
+    cases.push_back({"mesi_shared", p, true});
+    cases.push_back({"mesi_shared_log", p, true, 1, true});
+
+    p = hp;
+    p.synonymCoherence = true;
+    cases.push_back({"self_snoop", p});
+
+    cases.push_back({"sampled", hp, false, 4, true});
+    return cases;
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    AccessPipelineBatch, LineRunTwin, ::testing::ValuesIn(twinCases()),
+    [](const ::testing::TestParamInfo<TwinCase> &param_info) {
+        return param_info.param.name;
+    });
 
 } // anonymous namespace
 } // namespace vic

@@ -2,8 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <utility>
+#include <vector>
+
 #include "cache/cache.hh"
 #include "common/cycle_clock.hh"
+#include "common/observer.hh"
 #include "common/stats.hh"
 #include "dma/disk.hh"
 #include "dma/dma_engine.hh"
@@ -194,6 +198,63 @@ TEST_F(DmaTest, BeatsStopAtLineBoundaries)
 
     EXPECT_TRUE(dma.stepBeat());
     EXPECT_FALSE(dma.nextBeat().has_value());
+}
+
+/** Logs per-word DMA hooks; the run hooks keep their defaults. */
+struct WordLog : MemoryObserver
+{
+    std::vector<std::pair<std::uint64_t, std::uint32_t>> writes, reads;
+    void dmaWrite(PhysAddr pa, std::uint32_t v) override
+    { writes.emplace_back(pa.value, v); }
+    void dmaRead(PhysAddr pa, std::uint32_t v) override
+    { reads.emplace_back(pa.value, v); }
+};
+
+/** Counts run hooks: one call per beat. */
+struct RunLog : MemoryObserver
+{
+    std::vector<std::pair<std::uint64_t, std::uint32_t>> writeRuns,
+        readRuns;
+    void
+    dmaWriteRun(PhysAddr pa, const std::uint32_t *, std::uint32_t n) override
+    {
+        writeRuns.emplace_back(pa.value, n);
+    }
+    void
+    dmaReadRun(PhysAddr pa, const std::uint32_t *, std::uint32_t n) override
+    {
+        readRuns.emplace_back(pa.value, n);
+    }
+};
+
+TEST_F(DmaTest, UnsnoopedBeatsReportOneRunEach)
+{
+    // Beats of 4+8+4 words (see BeatsStopAtLineBoundaries): one run
+    // call per beat, and through the defaults every word in order.
+    std::uint32_t data[16];
+    for (std::uint32_t i = 0; i < 16; ++i)
+        data[i] = 100 + i;
+    RunLog runs;
+    dma.setObserver(&runs);
+    dma.deviceWrite(PhysAddr(0x2010), data, 16);
+    std::uint32_t out[16] = {};
+    dma.deviceRead(PhysAddr(0x2010), out, 16);
+    using Calls = std::vector<std::pair<std::uint64_t, std::uint32_t>>;
+    const Calls beats = {{0x2010, 4}, {0x2020, 8}, {0x2040, 4}};
+    EXPECT_EQ(runs.writeRuns, beats);
+    EXPECT_EQ(runs.readRuns, beats);
+
+    WordLog words;
+    dma.setObserver(&words);
+    dma.deviceWrite(PhysAddr(0x2010), data, 16);
+    dma.deviceRead(PhysAddr(0x2010), out, 16);
+    Calls expect;
+    for (std::uint32_t i = 0; i < 16; ++i)
+        expect.emplace_back(0x2010 + 4 * i, 100 + i);
+    EXPECT_EQ(words.writes, expect);
+    EXPECT_EQ(words.reads, expect);
+    for (std::uint32_t i = 0; i < 16; ++i)
+        EXPECT_EQ(out[i], data[i]);
 }
 
 TEST_F(DmaTest, StepTransferTargetsOneTransfer)

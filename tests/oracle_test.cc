@@ -8,6 +8,10 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <utility>
+#include <vector>
+
 #include "core/policy_config.hh"
 #include "oracle/consistency_oracle.hh"
 #include "workload/contrived_alias.hh"
@@ -91,11 +95,67 @@ TEST(OracleTest, ResetForgetsEverything)
     EXPECT_TRUE(o.clean());
 }
 
+/** The run hooks leave exactly the state of the same transfers made
+ *  one word at a time: shadow, checked count, and the violations with
+ *  their addresses, in order, through the hook as well. */
+TEST(OracleTest, RunsMatchPerWordTransfers)
+{
+    using Seen = std::vector<std::pair<std::uint64_t, std::string>>;
+    ConsistencyOracle runs(4096), words(4096);
+    Seen seen_runs, seen_words;
+    runs.setViolationHook([&](const ConsistencyOracle::Violation &v) {
+        seen_runs.emplace_back(v.pa.value, v.kind);
+    });
+    words.setViolationHook([&](const ConsistencyOracle::Violation &v) {
+        seen_words.emplace_back(v.pa.value, v.kind);
+    });
+
+    const std::uint32_t stored[] = {1, 2, 3, 4};
+    const std::uint32_t loaded[] = {1, 9, 3, 8};
+    runs.cpuStoreRun(PhysAddr(0x100), stored, 4);
+    runs.dmaWriteRun(PhysAddr(0x200), stored, 3);
+    runs.cpuLoadRun(PhysAddr(0x100), loaded, 4);
+    runs.dmaReadRun(PhysAddr(0x1fc), loaded, 4); // first word unwritten
+    runs.cpuCopyRun(PhysAddr(0x104), PhysAddr(0x300), loaded + 1, 3);
+    runs.cpuLoadRun(PhysAddr(0x300), stored, 3);
+    for (std::uint32_t i = 0; i < 4; ++i)
+        words.cpuStore(PhysAddr(0x100 + 4 * i), stored[i]);
+    for (std::uint32_t i = 0; i < 3; ++i)
+        words.dmaWrite(PhysAddr(0x200 + 4 * i), stored[i]);
+    for (std::uint32_t i = 0; i < 4; ++i)
+        words.cpuLoad(PhysAddr(0x100 + 4 * i), loaded[i]);
+    for (std::uint32_t i = 0; i < 4; ++i)
+        words.dmaRead(PhysAddr(0x1fc + 4 * i), loaded[i]);
+    for (std::uint32_t i = 0; i < 3; ++i) {
+        words.cpuLoad(PhysAddr(0x104 + 4 * i), loaded[1 + i]);
+        words.cpuStore(PhysAddr(0x300 + 4 * i), loaded[1 + i]);
+    }
+    for (std::uint32_t i = 0; i < 3; ++i)
+        words.cpuLoad(PhysAddr(0x300 + 4 * i), stored[i]);
+
+    EXPECT_EQ(runs.checkedCount(), words.checkedCount());
+    EXPECT_EQ(runs.violationCount(), words.violationCount());
+    EXPECT_GT(runs.violationCount(), 0u);
+    EXPECT_EQ(seen_runs, seen_words);
+    ASSERT_EQ(runs.violations().size(), words.violations().size());
+    for (std::size_t i = 0; i < runs.violations().size(); ++i) {
+        EXPECT_EQ(runs.violations()[i].expected,
+                  words.violations()[i].expected);
+        EXPECT_EQ(runs.violations()[i].observed,
+                  words.violations()[i].observed);
+    }
+}
+
 TEST(OracleDeathTest, RejectsUnalignedAndOutOfRange)
 {
     ConsistencyOracle o(4096);
     EXPECT_DEATH(o.cpuStore(PhysAddr(2), 0), "unaligned");
     EXPECT_DEATH(o.cpuStore(PhysAddr(4096), 0), "out of range");
+    const std::uint32_t w[2] = {};
+    EXPECT_DEATH(o.cpuLoadRun(PhysAddr(4092), w, 2), "out of range");
+    EXPECT_DEATH(o.dmaWriteRun(PhysAddr(6), w, 2), "unaligned");
+    EXPECT_DEATH(o.cpuCopyRun(PhysAddr(0), PhysAddr(4), w, 2),
+                 "overlapping");
 }
 
 // ---------------------------------------------------------------------
