@@ -2,15 +2,14 @@
  * @file
  * Whole-program call graph over the token streams.
  *
- * The per-file passes of PR 8 could prove properties only as far as a
- * single function body; everything across a call had to be assumed
- * (the drain pass's "*Async" name exemption) or suppressed. The call
- * graph closes that gap: it discovers every function definition in
- * the tree (with a qualified name when the definition site provides
- * one — "Class::method" for out-of-line definitions, and in-class
- * bodies are qualified by the enclosing class/struct range), every
- * call-shaped identifier inside those definitions, and resolves calls
- * to definitions by unqualified name.
+ * A per-file pass can prove properties only as far as a single
+ * function body; everything across a call has to be assumed or
+ * suppressed. The call graph closes that gap: it discovers every
+ * function definition in the tree (with a qualified name when the
+ * definition site provides one — "Class::method" for out-of-line
+ * definitions, and in-class bodies are qualified by the enclosing
+ * class/struct range), every call-shaped identifier inside those
+ * definitions, and resolves calls to definitions by unqualified name.
  *
  * Resolution is deliberately an over-approximation tuned to this
  * repository's style: a call `x.foo(...)` resolves to EVERY function
@@ -43,8 +42,8 @@ inline constexpr std::size_t kNoFunction =
 struct FnInfo
 {
     std::size_t fileIndex = 0;    ///< index into the loaded file set
-    std::string name;             ///< unqualified ("drainDma")
-    std::string qualified;        ///< "Machine::drainDma" when known
+    std::string name;             ///< unqualified ("readBlock")
+    std::string qualified;        ///< "Disk::readBlock" when known
     std::string className;        ///< "" for free functions
     std::size_t nameTok = 0;      ///< token index of the name
     std::size_t paramOpen = 0;    ///< '(' of the parameter list

@@ -14,7 +14,6 @@ makeAllPasses()
 {
     std::vector<std::unique_ptr<Pass>> passes;
     passes.push_back(makeDeterminismPass());
-    passes.push_back(makeDrainPass());
     passes.push_back(makeAddrKindPass());
     passes.push_back(makeCounterPass());
     passes.push_back(makeCounterLivenessPass());

@@ -1,5 +1,6 @@
 #include "common/json_writer.hh"
 
+#include <cctype>
 #include <cstdio>
 #include <cstdlib>
 #include <stdexcept>
@@ -331,7 +332,7 @@ class Parser
     JsonValue
     parseDocument()
     {
-        JsonValue v = parseValue();
+        JsonValue v = parseValue(0);
         skipWs();
         if (pos != text.size())
             fail("trailing characters");
@@ -339,6 +340,9 @@ class Parser
     }
 
   private:
+    /** Deepest container nesting a document may use. */
+    static constexpr int kMaxNesting = 256;
+
     [[noreturn]] void
     fail(const char *what) const
     {
@@ -414,6 +418,10 @@ class Parser
               case 'u': {
                   if (pos + 4 > text.size())
                       fail("truncated \\u escape");
+                  for (std::size_t i = pos; i < pos + 4; ++i)
+                      if (!std::isxdigit(
+                              static_cast<unsigned char>(text[i])))
+                          fail("bad \\u escape");
                   unsigned code = static_cast<unsigned>(std::strtoul(
                       text.substr(pos, 4).c_str(), nullptr, 16));
                   pos += 4;
@@ -466,10 +474,16 @@ class Parser
         return JsonValue::numberToken(text.substr(start, pos - start));
     }
 
+    /** Parse one value whose enclosing containers number @p depth.
+     *  Each container recurses once, so nesting is capped at
+     *  kMaxNesting rather than left to exhaust the stack. */
     JsonValue
-    parseValue()
+    parseValue(int depth)
     {
-        switch (peek()) {
+        const char c0 = peek();
+        if ((c0 == '{' || c0 == '[') && depth == kMaxNesting)
+            fail("nesting too deep");
+        switch (c0) {
           case '{': {
               ++pos;
               JsonValue obj = JsonValue::object();
@@ -481,7 +495,7 @@ class Parser
                   skipWs();
                   std::string key = parseStringBody();
                   expect(':');
-                  obj.set(key, parseValue());
+                  obj.set(key, parseValue(depth + 1));
                   char c = peek();
                   ++pos;
                   if (c == '}')
@@ -498,7 +512,7 @@ class Parser
                   return arr;
               }
               while (true) {
-                  arr.push(parseValue());
+                  arr.push(parseValue(depth + 1));
                   char c = peek();
                   ++pos;
                   if (c == ']')

@@ -80,7 +80,9 @@ class JsonValue
     /** Serialise; indent > 0 pretty-prints with that many spaces. */
     std::string dump(int indent = 0) const;
 
-    /** Parse @p text; throws std::runtime_error on malformed input. */
+    /** Parse @p text; throws std::runtime_error on malformed input,
+     *  including containers nested more than 256 deep and \u
+     *  escapes without four hex digits. */
     static JsonValue parse(const std::string &text);
 
     bool operator==(const JsonValue &other) const;

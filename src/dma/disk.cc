@@ -1,5 +1,7 @@
 #include "dma/disk.hh"
 
+#include <utility>
+
 #include "common/logging.hh"
 
 namespace vic
@@ -19,46 +21,25 @@ Disk::Disk(std::uint32_t block_bytes, Cycles access_cycles,
 void
 Disk::readBlock(std::uint64_t block, PhysAddr pa)
 {
-    const DmaTransferId id = readBlockAsync(block, pa);
-    while (dma.stepTransfer(id)) {
+    ++statBlockReads;
+    clk.advance(accessCycles);
+    auto it = blocks.find(block);
+    if (it == blocks.end()) {
+        const std::vector<std::uint32_t> zeros(wordsPerBlock(), 0);
+        dma.deviceWrite(pa, zeros.data(), wordsPerBlock());
+        return;
     }
+    dma.deviceWrite(pa, it->second.data(), wordsPerBlock());
 }
 
 void
 Disk::writeBlock(std::uint64_t block, PhysAddr pa)
 {
-    const DmaTransferId id = writeBlockAsync(block, pa);
-    while (dma.stepTransfer(id)) {
-    }
-}
-
-DmaTransferId
-Disk::readBlockAsync(std::uint64_t block, PhysAddr pa)
-{
-    ++statBlockReads;
-    clk.advance(accessCycles);
-    auto it = blocks.find(block);
-    if (it == blocks.end()) {
-        std::vector<std::uint32_t> zeros(wordsPerBlock(), 0);
-        return dma.startWrite(pa, zeros.data(), wordsPerBlock());
-    }
-    return dma.startWrite(pa, it->second.data(), wordsPerBlock());
-}
-
-DmaTransferId
-Disk::writeBlockAsync(std::uint64_t block, PhysAddr pa)
-{
     ++statBlockWrites;
     clk.advance(accessCycles);
-    // The device latches the frame's data beat by beat; the block's
-    // backing store is replaced only once the whole transfer lands, so
-    // a schedule that corrupts memory mid-transfer corrupts the block.
-    auto staging =
-        std::make_shared<std::vector<std::uint32_t>>(wordsPerBlock());
-    return dma.startRead(pa, staging->data(), wordsPerBlock(),
-                         [this, block, staging] {
-                             blocks[block] = std::move(*staging);
-                         });
+    std::vector<std::uint32_t> staging(wordsPerBlock());
+    dma.deviceRead(pa, staging.data(), wordsPerBlock());
+    blocks[block] = std::move(staging);
 }
 
 std::uint32_t

@@ -14,7 +14,6 @@
 #define VIC_DMA_DISK_HH
 
 #include <cstdint>
-#include <memory>
 #include <unordered_map>
 #include <vector>
 
@@ -46,24 +45,9 @@ class Disk
     void readBlock(std::uint64_t block, PhysAddr pa);
 
     /** Write the frame at @p pa to block @p block (a DMA-read from
-     *  memory). */
+     *  memory). The device stages the frame's words and replaces the
+     *  block only once the whole transfer has landed. */
     void writeBlock(std::uint64_t block, PhysAddr pa);
-
-    /**
-     * Begin reading block @p block into memory at @p pa: issues the
-     * DMA-write asynchronously and returns with its line-granular
-     * beats pending on the engine (drive them with
-     * DmaEngine::stepBeat/drainAll or Machine::drainDma).
-     */
-    DmaTransferId readBlockAsync(std::uint64_t block, PhysAddr pa);
-
-    /**
-     * Begin writing the frame at @p pa to block @p block: issues the
-     * DMA-read asynchronously; the block's backing store is updated
-     * only when the final beat completes, so mid-transfer schedules
-     * genuinely observe a torn block.
-     */
-    DmaTransferId writeBlockAsync(std::uint64_t block, PhysAddr pa);
 
     /** Direct peek at stored data, for tests. Unwritten blocks read as
      *  zero. */

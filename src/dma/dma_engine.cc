@@ -1,5 +1,6 @@
 #include "dma/dma_engine.hh"
 
+#include <exception>
 #include <utility>
 
 #include "common/logging.hh"
@@ -31,11 +32,57 @@ DmaEngine::setBeatBytes(std::uint32_t bytes)
     beatSize = bytes;
 }
 
-DmaTransferId
+DmaTicket::DmaTicket(DmaTicket &&other) noexcept
+    : eng(std::exchange(other.eng, nullptr)), tid(other.tid)
+{
+}
+
+DmaTicket &
+DmaTicket::operator=(DmaTicket &&other) noexcept
+{
+    // The ticket overwritten here is dropped like any other.
+    DmaTicket dropped(std::move(*this));
+    eng = std::exchange(other.eng, nullptr);
+    tid = other.tid;
+    return *this;
+}
+
+DmaTicket::~DmaTicket()
+{
+    if (pending() && std::uncaught_exceptions() == 0)
+        vic_panic("DMA transfer %llu dropped with beats pending",
+                  (unsigned long long)tid);
+}
+
+bool
+DmaTicket::pending() const
+{
+    return eng != nullptr && eng->indexOf(tid) < eng->queue.size();
+}
+
+bool
+DmaTicket::step()
+{
+    if (eng == nullptr)
+        return false;
+    const std::size_t index = eng->indexOf(tid);
+    if (index == eng->queue.size())
+        return false;
+    eng->executeBeat(index);
+    return true;
+}
+
+void
+DmaTicket::wait()
+{
+    while (step()) {
+    }
+}
+
+DmaTicket
 DmaEngine::start(bool device_writes, PhysAddr pa,
                  const std::uint32_t *words, std::uint32_t *out,
-                 std::uint32_t nwords,
-                 std::function<void()> on_complete)
+                 std::uint32_t nwords)
 {
     vic_assert(pa.value % 4 == 0, "unaligned DMA transfer");
 
@@ -59,9 +106,7 @@ DmaEngine::start(bool device_writes, PhysAddr pa,
     const DmaTransferId id = nextId++;
     if (nwords == 0) {
         // Degenerate command: completes at setup time, nothing queued.
-        if (on_complete)
-            on_complete();
-        return id;
+        return DmaTicket(this, id);
     }
 
     Transfer t;
@@ -69,40 +114,35 @@ DmaEngine::start(bool device_writes, PhysAddr pa,
     t.deviceWrites = device_writes;
     t.pa = pa;
     t.nwords = nwords;
-    t.onComplete = std::move(on_complete);
     if (device_writes)
         t.buf.assign(words, words + nwords);
     else
         t.out = out;
     queue.push_back(std::move(t));
-    return id;
+    return DmaTicket(this, id);
 }
 
-DmaTransferId
+DmaTicket
 DmaEngine::startWrite(PhysAddr pa, const std::uint32_t *words,
-                      std::uint32_t nwords,
-                      std::function<void()> on_complete)
+                      std::uint32_t nwords)
 {
-    return start(true, pa, words, nullptr, nwords,
-                 std::move(on_complete));
+    return start(true, pa, words, nullptr, nwords);
 }
 
-DmaTransferId
+DmaTicket
 DmaEngine::startRead(PhysAddr pa, std::uint32_t *out,
-                     std::uint32_t nwords,
-                     std::function<void()> on_complete)
+                     std::uint32_t nwords)
 {
-    return start(false, pa, nullptr, out, nwords,
-                 std::move(on_complete));
+    return start(false, pa, nullptr, out, nwords);
 }
 
-bool
-DmaEngine::transferPending(DmaTransferId id) const
+std::size_t
+DmaEngine::indexOf(DmaTransferId id) const
 {
-    for (const Transfer &t : queue)
-        if (t.id == id)
-            return true;
-    return false;
+    std::size_t i = 0;
+    while (i < queue.size() && queue[i].id != id)
+        ++i;
+    return i;
 }
 
 std::uint32_t
@@ -179,61 +219,22 @@ DmaEngine::executeBeat(std::size_t index)
     }
     t.done += words;
 
-    if (t.done == t.nwords) {
-        // Retire before the callback so completion handlers observe a
-        // consistent queue (and may start fresh transfers).
-        std::function<void()> done = std::move(t.onComplete);
-        queue.erase(queue.begin() +
-                    static_cast<std::ptrdiff_t>(index));
-        if (done)
-            done();
-    }
-}
-
-bool
-DmaEngine::stepBeat()
-{
-    if (queue.empty())
-        return false;
-    executeBeat(0);
-    return true;
-}
-
-bool
-DmaEngine::stepTransfer(DmaTransferId id)
-{
-    for (std::size_t i = 0; i < queue.size(); ++i) {
-        if (queue[i].id == id) {
-            executeBeat(i);
-            return true;
-        }
-    }
-    return false;
-}
-
-void
-DmaEngine::drainAll()
-{
-    while (stepBeat()) {
-    }
+    if (t.done == t.nwords)
+        queue.erase(queue.begin() + static_cast<std::ptrdiff_t>(index));
 }
 
 void
 DmaEngine::deviceWrite(PhysAddr pa, const std::uint32_t *words,
                        std::uint32_t nwords)
 {
-    const DmaTransferId id = startWrite(pa, words, nwords);
-    while (stepTransfer(id)) {
-    }
+    startWrite(pa, words, nwords).wait();
 }
 
 void
 DmaEngine::deviceRead(PhysAddr pa, std::uint32_t *out,
                       std::uint32_t nwords)
 {
-    const DmaTransferId id = startRead(pa, out, nwords);
-    while (stepTransfer(id)) {
-    }
+    startRead(pa, out, nwords).wait();
 }
 
 } // namespace vic

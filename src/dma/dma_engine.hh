@@ -13,14 +13,13 @@
  *
  * Transfers are asynchronous at line granularity: startWrite/startRead
  * enqueue a pending transfer whose beats (one cache line of words
- * each) are executed one at a time by stepBeat()/stepTransfer(). This
- * is what lets the interleaving model checker (src/mc) overlap DMA
- * with CPU execution and expose mid-transfer consistency windows. The
- * classic deviceWrite/deviceRead entry points remain as the
- * synchronous compatibility path — start followed by an immediate
- * drain — with cycle charges and statistics identical to the historic
- * atomic implementation, so existing call sites and calibrated benches
- * are unaffected.
+ * each) are executed one at a time, and hand back a DmaTicket that
+ * owns the obligation to finish it. This is what lets the
+ * interleaving model checker (src/mc) overlap DMA with CPU execution
+ * and expose mid-transfer consistency windows. The synchronous
+ * deviceWrite/deviceRead entry points are start followed by wait(),
+ * with cycle charges and statistics identical to the historic atomic
+ * implementation.
  */
 
 #ifndef VIC_DMA_DMA_ENGINE_HH
@@ -28,7 +27,6 @@
 
 #include <cstdint>
 #include <deque>
-#include <functional>
 #include <optional>
 #include <vector>
 
@@ -52,6 +50,53 @@ struct DmaCosts
 
 /** Handle identifying one in-flight transfer. Never reused. */
 using DmaTransferId = std::uint64_t;
+
+class DmaEngine;
+
+/**
+ * Ownership of one started transfer. A transfer must complete before
+ * its frame is used again, so every start hands back a ticket and the
+ * holder must run the transfer's beats to the end (step() or wait())
+ * before letting go of it. The type makes that checkable without
+ * reading the code: discarding a start's result is a compiler warning
+ * ([[nodiscard]]), the ticket is move-only, and destroying one whose
+ * transfer still has beats pending is a panic. A moved-from or
+ * default-constructed ticket owns nothing; the engine must outlive
+ * every ticket it issued. While an exception unwinds
+ * the destructor stays quiet, so a failure the caller contains (the
+ * experiment engine's per-run isolation) is not turned into an abort.
+ */
+class [[nodiscard]] DmaTicket
+{
+  public:
+    DmaTicket() = default;
+    DmaTicket(DmaTicket &&other) noexcept;
+    DmaTicket &operator=(DmaTicket &&other) noexcept;
+    DmaTicket(const DmaTicket &) = delete;
+    DmaTicket &operator=(const DmaTicket &) = delete;
+    ~DmaTicket();
+
+    DmaTransferId id() const { return tid; }
+
+    /** @return true iff this transfer has beats still pending. */
+    bool pending() const;
+
+    /** Execute one beat of this transfer.
+     *  @return false iff it had no pending beats. */
+    bool step();
+
+    /** Run this transfer's remaining beats. */
+    void wait();
+
+  private:
+    friend class DmaEngine;
+    DmaTicket(DmaEngine *engine, DmaTransferId id) : eng(engine), tid(id)
+    {
+    }
+
+    DmaEngine *eng = nullptr;
+    DmaTransferId tid = 0;
+};
 
 class DmaEngine
 {
@@ -87,27 +132,21 @@ class DmaEngine
      * is copied out of @p words immediately (the device latches its
      * buffer at command time), so the caller's storage may be reused.
      * The per-transfer setup cost is charged now; each beat charges
-     * its word-move cost when stepped. @p on_complete (optional) runs
-     * after the final beat.
+     * its word-move cost when stepped.
      */
-    DmaTransferId startWrite(PhysAddr pa, const std::uint32_t *words,
-                             std::uint32_t nwords,
-                             std::function<void()> on_complete = {});
+    DmaTicket startWrite(PhysAddr pa, const std::uint32_t *words,
+                         std::uint32_t nwords);
 
     /**
      * Begin a DMA-read: the device will read @p nwords words from the
      * memory system starting at @p pa into @p out, one beat per step.
      * @p out must stay valid until the transfer completes.
      */
-    DmaTransferId startRead(PhysAddr pa, std::uint32_t *out,
-                            std::uint32_t nwords,
-                            std::function<void()> on_complete = {});
+    DmaTicket startRead(PhysAddr pa, std::uint32_t *out,
+                        std::uint32_t nwords);
 
     /** Number of transfers with beats still pending. */
     std::size_t pendingTransfers() const { return queue.size(); }
-
-    /** @return true iff @p id has beats still pending. */
-    bool transferPending(DmaTransferId id) const;
 
     /** The next beat a transfer would execute (for schedulers). */
     struct BeatInfo
@@ -122,19 +161,8 @@ class DmaEngine
      *  (0 = oldest); nullopt if out of range. */
     std::optional<BeatInfo> nextBeat(std::size_t queue_index = 0) const;
 
-    /** Execute one beat of the oldest pending transfer.
-     *  @return false iff nothing was pending. */
-    bool stepBeat();
-
-    /** Execute one beat of transfer @p id.
-     *  @return false iff @p id has no pending beats. */
-    bool stepTransfer(DmaTransferId id);
-
-    /** Run every pending transfer to completion, oldest first. */
-    void drainAll();
-
     // ------------------------------------------------------------------
-    // Synchronous compatibility path (start + immediate drain)
+    // Synchronous transfers (start + wait)
     // ------------------------------------------------------------------
 
     /**
@@ -164,7 +192,6 @@ class DmaEngine
         std::uint32_t *out = nullptr;   ///< destination (reads only)
         std::uint32_t done = 0;         ///< words already moved
         std::uint32_t nwords = 0;
-        std::function<void()> onComplete;
     };
 
     DmaCosts costs;
@@ -182,16 +209,21 @@ class DmaEngine
     Counter &statReads;
     Counter &statWordsMoved;
 
-    DmaTransferId start(bool device_writes, PhysAddr pa,
-                        const std::uint32_t *words, std::uint32_t *out,
-                        std::uint32_t nwords,
-                        std::function<void()> on_complete);
+    friend class DmaTicket;
+
+    DmaTicket start(bool device_writes, PhysAddr pa,
+                    const std::uint32_t *words, std::uint32_t *out,
+                    std::uint32_t nwords);
+
+    /** Queue index of transfer @p id, or queue.size() if it has
+     *  completed. */
+    std::size_t indexOf(DmaTransferId id) const;
 
     /** Words the next beat of @p t moves (up to its line boundary). */
     std::uint32_t beatWords(const Transfer &t) const;
 
     /** Execute one beat of queue entry @p index, retiring the transfer
-     *  (and running its completion callback) after the final beat. */
+     *  after the final beat. */
     void executeBeat(std::size_t index);
 };
 

@@ -149,6 +149,11 @@ Executor::~Executor()
 {
     machine.setObserver(nullptr);
     oracle.setViolationHook(nullptr);
+    // A counterexample replay or a budget-stopped run can end
+    // mid-transfer; finish the remaining beats unobserved so every
+    // ticket is released complete.
+    for (ThreadState &t : threads)
+        t.transfer.wait();
 }
 
 FrameId
@@ -201,8 +206,8 @@ Executor::forwardSource(std::uint32_t cpu, FrameId frame) const
 bool
 Executor::transfersComplete(const ThreadState &t)
 {
-    for (DmaTransferId id : t.started)
-        if (machine.dma().transferPending(id))
+    for (int b : t.startedBeatThreads)
+        if (threads[static_cast<std::size_t>(b)].transfer.pending())
             return false;
     return true;
 }
@@ -236,7 +241,7 @@ Executor::enabled()
     for (std::size_t i = 0; i < threads.size(); ++i) {
         const ThreadState &t = threads[i];
         if (t.isBeat) {
-            if (machine.dma().transferPending(t.transfer))
+            if (t.transfer.pending())
                 out.push_back(static_cast<int>(i));
             continue;
         }
@@ -261,7 +266,7 @@ Executor::allFinished()
 {
     for (const ThreadState &t : threads) {
         if (t.isBeat) {
-            if (machine.dma().transferPending(t.transfer))
+            if (t.transfer.pending())
                 return false;
             continue;
         }
@@ -349,7 +354,7 @@ Executor::peek(int t)
         DmaEngine &dma = machine.dma();
         for (std::size_t i = 0; i < dma.pendingTransfers(); ++i) {
             auto beat = dma.nextBeat(i);
-            if (!beat || beat->id != ts.transfer)
+            if (!beat || beat->id != ts.transfer.id())
                 continue;
             fp.dmaAccess = true;
             Footprint::addFrame(fp.frames,
@@ -406,8 +411,7 @@ Executor::remainingFootprint(int t)
     if (ts.isBeat) {
         // Conservative: the rest of the transfer may touch any line
         // of its frame.
-        DmaEngine &dma = machine.dma();
-        if (!dma.transferPending(ts.transfer))
+        if (!ts.transfer.pending())
             return fp;
         Footprint beat = peek(t);
         fp = beat;
@@ -471,7 +475,7 @@ Executor::execute(int t, StepRecord &cur)
     if (ts.isBeat) {
         cur.kind = OpKind::DmaBeat;
         cur.fp.dmaAccess = true;
-        const bool stepped = machine.dma().stepTransfer(ts.transfer);
+        const bool stepped = ts.transfer.step();
         vic_assert(stepped, "beat thread stepped without pending beat");
         ++ts.pc;
         return;
@@ -634,41 +638,26 @@ Executor::execute(int t, StepRecord &cur)
 
       case OpKind::DmaStartRead:
       case OpKind::DmaStartWrite: {
+        // The beat thread forked below owns the transfer's ticket and
+        // runs its beats; DmaWait gates on its completion.
         const std::uint32_t nwords = op.lines * lineWords;
-        DmaTransferId id = 0;
+        ThreadState beat;
         if (op.kind == OpKind::DmaStartRead) {
             readBufs.emplace_back(nwords, 0u);
-            // The beat thread spawned below drains this transfer;
-            // the scheduler's DmaWait events gate every
-            // interleaving on its completion. The lint summary
-            // domain is per-call-path (bottom-up over the call
-            // graph); an obligation handed to ANOTHER THREAD's
-            // schedule has no call edge to follow, so this is
-            // exactly the cross-thread hand-off the interprocedural
-            // proof cannot see.
-            // vic-lint: allow(drain-unpaired): drained cross-thread by the forked beat thread; no call edge for the summary domain to follow
-            id = machine.dma().startRead(machine.frameAddr(frame),
-                                         readBufs.back().data(),
-                                         nwords);
+            beat.transfer = machine.dma().startRead(
+                machine.frameAddr(frame), readBufs.back().data(), nwords);
         } else {
             std::vector<std::uint32_t> words(nwords);
             for (std::uint32_t i = 0; i < nwords; ++i)
                 words[i] = 0x80000000u +
                            (std::uint32_t(stamp) << 8) + i;
             ++stamp;
-            // Same cross-thread hand-off as the read case above.
-            // vic-lint: allow(drain-unpaired): drained cross-thread by the forked beat thread; no call edge for the summary domain to follow
-            id = machine.dma().startWrite(machine.frameAddr(frame),
-                                          words.data(), nwords);
+            beat.transfer = machine.dma().startWrite(
+                machine.frameAddr(frame), words.data(), nwords);
         }
-        ts.started.push_back(id);
-
-        ThreadState beat;
         beat.name = ts.name + ".dma" +
-                    std::to_string(ts.started.size());
+                    std::to_string(ts.startedBeatThreads.size() + 1);
         beat.isBeat = true;
-        beat.transfer = id;
-        beat.starter = t;
         cur.startedBeat = static_cast<int>(threads.size());
         ts.startedBeatThreads.push_back(cur.startedBeat);
         threads.push_back(std::move(beat));
@@ -795,7 +784,7 @@ Executor::stateHash()
         mix(f);
     for (const ThreadState &t : threads) {
         mix(t.pc);
-        mix(t.started.size());
+        mix(t.startedBeatThreads.size());
     }
     // Undrained store-buffer entries, FIFO order (no-op in SC mode).
     for (std::size_t c = 0; c < sbFifo.size(); ++c) {

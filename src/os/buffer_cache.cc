@@ -92,18 +92,12 @@ BufferCache::flushSlot(std::uint32_t slot)
     vic_assert(s.valid && s.dirty, "flush of clean slot");
     ++statWriteBacks;
     // The device is about to read the frame: dirty cache data must be
-    // flushed to memory first (the DMA-read consistency step), before
-    // the transfer's first beat — not merely before its completion.
-    // The frame stays wired while beats are pending so pageout cannot
-    // recycle a buffer mid-write-back.
+    // flushed to memory first (the DMA-read consistency step).
     kernel.pmap().dmaRead(s.frame, true);
     const std::uint64_t disk_block =
         kernel.fs().diskBlockFor(s.file, s.block);
-    kernel.pageout().wire(s.frame);
-    kernel.machine().disk().writeBlockAsync(
+    kernel.machine().disk().writeBlock(
         disk_block, kernel.machine().frameAddr(s.frame));
-    kernel.machine().drainDma("bufcache.write-back");
-    kernel.pageout().unwire(s.frame);
     s.dirty = false;
 }
 
@@ -117,13 +111,10 @@ BufferCache::fillSlot(std::uint32_t slot, FileId file,
     if (disk_block && !whole_block_write) {
         // The device is about to overwrite the frame: cached copies
         // must not shadow or clobber it (the DMA-write consistency
-        // step, ordered before the first beat).
+        // step).
         kernel.pmap().dmaWrite(s.frame);
-        kernel.pageout().wire(s.frame);
-        kernel.machine().disk().readBlockAsync(
+        kernel.machine().disk().readBlock(
             *disk_block, kernel.machine().frameAddr(s.frame));
-        kernel.machine().drainDma("bufcache.fill");
-        kernel.pageout().unwire(s.frame);
     } else if (!disk_block && !whole_block_write) {
         // A block that has never been written reads as zeros; the
         // server zeroes the buffer through its mapping.

@@ -671,10 +671,7 @@ Kernel::faultInPage(Region &region, std::uint32_t page_idx,
         // the first CPU access refetch fresh memory.
         frame = allocFrame(pmapImpl->dColourOf(page_va));
         pmapImpl->dmaWrite(frame);
-        pageoutDaemon->wire(frame);
-        mach.disk().readBlockAsync(*swap_block, mach.frameAddr(frame));
-        mach.drainDma("kernel.swap-in");
-        pageoutDaemon->unwire(frame);
+        mach.disk().readBlock(*swap_block, mach.frameAddr(frame));
         pageoutDaemon->freeSwapBlock(*swap_block);
         region.object->clearSwapBlock(obj_page);
         ++statPageins;

@@ -78,7 +78,6 @@ PageoutDaemon::pageOut(const Candidate &c)
     // Evict every translation so no access can race the transfer.
     for (const SpaceVa &va : pmap.mappingsOf(c.frame))
         pmap.remove(va);
-    m.yieldPoint("pageout.unmapped");
 
     if (obj->backing() == VmObject::Backing::File) {
         // Text and mapped-file pages are clean copies of file data:
@@ -86,17 +85,12 @@ PageoutDaemon::pageOut(const Candidate &c)
         ++statTextDrops;
     } else {
         // Anonymous page: write to swap. The DMA-read consistency
-        // step flushes whatever dirty cache data the page still has —
-        // strictly BEFORE the first beat of the transfer can run (the
-        // interleaving checker, src/mc, explores exactly this window).
-        // The frame is wired while beats are pending so nothing
-        // recycles it mid-transfer.
+        // step flushes whatever dirty cache data the page still has
+        // before the transfer starts (the interleaving checker,
+        // src/mc, explores what goes wrong when a beat overtakes it).
         const std::uint64_t block = allocSwapBlock();
         pmap.dmaRead(c.frame, true);
-        wire(c.frame);
-        m.disk().writeBlockAsync(block, m.frameAddr(c.frame));
-        m.drainDma("pageout.swap-out");
-        unwire(c.frame);
+        m.disk().writeBlock(block, m.frameAddr(c.frame));
         obj->setSwapBlock(c.page, block);
         ++statSwapWrites;
     }

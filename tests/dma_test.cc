@@ -1,7 +1,9 @@
-/** @file Unit tests for the DMA engine and disk device. */
+/** @file Unit tests for the DMA engine, its tickets and the disk
+ *  device. */
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
 #include <utility>
 #include <vector>
 
@@ -148,27 +150,27 @@ TEST_F(DmaTest, StartWriteIsInvisibleUntilStepped)
     for (int i = 0; i < 16; ++i)
         data[i] = 100u + std::uint32_t(i);
 
-    const DmaTransferId id = dma.startWrite(PhysAddr(0x2000), data, 16);
-    EXPECT_TRUE(dma.transferPending(id));
+    DmaTicket ticket = dma.startWrite(PhysAddr(0x2000), data, 16);
+    EXPECT_TRUE(ticket.pending());
     EXPECT_EQ(dma.pendingTransfers(), 1u);
     // The command is latched but no beat has run: memory untouched.
     for (int i = 0; i < 16; ++i)
         EXPECT_EQ(mem.readWord(PhysAddr(0x2000 + 4 * i)), 0u);
 
     // One beat moves exactly one 32-byte line (8 words).
-    EXPECT_TRUE(dma.stepBeat());
+    EXPECT_TRUE(ticket.step());
     for (int i = 0; i < 8; ++i)
         EXPECT_EQ(mem.readWord(PhysAddr(0x2000 + 4 * i)), 100u + i);
     for (int i = 8; i < 16; ++i)
         EXPECT_EQ(mem.readWord(PhysAddr(0x2000 + 4 * i)), 0u);
-    EXPECT_TRUE(dma.transferPending(id));
+    EXPECT_TRUE(ticket.pending());
 
-    EXPECT_TRUE(dma.stepBeat());
+    EXPECT_TRUE(ticket.step());
     for (int i = 0; i < 16; ++i)
         EXPECT_EQ(mem.readWord(PhysAddr(0x2000 + 4 * i)), 100u + i);
-    EXPECT_FALSE(dma.transferPending(id));
+    EXPECT_FALSE(ticket.pending());
     EXPECT_EQ(dma.pendingTransfers(), 0u);
-    EXPECT_FALSE(dma.stepBeat());
+    EXPECT_FALSE(ticket.step());
 }
 
 TEST_F(DmaTest, BeatsStopAtLineBoundaries)
@@ -176,27 +178,28 @@ TEST_F(DmaTest, BeatsStopAtLineBoundaries)
     // A transfer starting mid-line first fills to the line boundary:
     // 0x2010 is word 4 of its 32-byte line, so the beats are 4+8+4.
     std::uint32_t data[16] = {};
-    dma.startWrite(PhysAddr(0x2010), data, 16);
+    DmaTicket ticket = dma.startWrite(PhysAddr(0x2010), data, 16);
 
     auto beat = dma.nextBeat();
     ASSERT_TRUE(beat.has_value());
+    EXPECT_EQ(beat->id, ticket.id());
     EXPECT_EQ(beat->pa.value, 0x2010u);
     EXPECT_EQ(beat->nwords, 4u);
     EXPECT_TRUE(beat->deviceWrites);
 
-    EXPECT_TRUE(dma.stepBeat());
+    EXPECT_TRUE(ticket.step());
     beat = dma.nextBeat();
     ASSERT_TRUE(beat.has_value());
     EXPECT_EQ(beat->pa.value, 0x2020u);
     EXPECT_EQ(beat->nwords, 8u);
 
-    EXPECT_TRUE(dma.stepBeat());
+    EXPECT_TRUE(ticket.step());
     beat = dma.nextBeat();
     ASSERT_TRUE(beat.has_value());
     EXPECT_EQ(beat->pa.value, 0x2040u);
     EXPECT_EQ(beat->nwords, 4u);
 
-    EXPECT_TRUE(dma.stepBeat());
+    EXPECT_TRUE(ticket.step());
     EXPECT_FALSE(dma.nextBeat().has_value());
 }
 
@@ -257,26 +260,26 @@ TEST_F(DmaTest, UnsnoopedBeatsReportOneRunEach)
         EXPECT_EQ(out[i], data[i]);
 }
 
-TEST_F(DmaTest, StepTransferTargetsOneTransfer)
+TEST_F(DmaTest, TicketStepsOnlyItsOwnTransfer)
 {
     std::uint32_t a[8], b[8];
     for (int i = 0; i < 8; ++i) {
         a[i] = 1;
         b[i] = 2;
     }
-    const DmaTransferId ta = dma.startWrite(PhysAddr(0x1000), a, 8);
-    const DmaTransferId tb = dma.startWrite(PhysAddr(0x3000), b, 8);
+    DmaTicket ta = dma.startWrite(PhysAddr(0x1000), a, 8);
+    DmaTicket tb = dma.startWrite(PhysAddr(0x3000), b, 8);
     EXPECT_EQ(dma.pendingTransfers(), 2u);
 
     // Step the *younger* transfer: the older one stays untouched.
-    EXPECT_TRUE(dma.stepTransfer(tb));
+    EXPECT_TRUE(tb.step());
     EXPECT_EQ(mem.readWord(PhysAddr(0x3000)), 2u);
     EXPECT_EQ(mem.readWord(PhysAddr(0x1000)), 0u);
-    EXPECT_TRUE(dma.transferPending(ta));
-    EXPECT_FALSE(dma.transferPending(tb));
-    EXPECT_FALSE(dma.stepTransfer(tb));
+    EXPECT_TRUE(ta.pending());
+    EXPECT_FALSE(tb.pending());
+    EXPECT_FALSE(tb.step());
 
-    dma.drainAll();
+    ta.wait();
     EXPECT_EQ(mem.readWord(PhysAddr(0x1000)), 1u);
     EXPECT_EQ(dma.pendingTransfers(), 0u);
 }
@@ -287,46 +290,153 @@ TEST_F(DmaTest, AsyncReadObservesMemoryAtBeatTime)
     // to memory between command and beat IS seen; data written after
     // the beat is NOT.
     std::uint32_t out[16] = {};
-    dma.startRead(PhysAddr(0x4000), out, 16);
+    DmaTicket ticket = dma.startRead(PhysAddr(0x4000), out, 16);
 
     mem.writeWord(PhysAddr(0x4000), 7u);  // before beat 0: visible
-    EXPECT_TRUE(dma.stepBeat());
+    EXPECT_TRUE(ticket.step());
     mem.writeWord(PhysAddr(0x4004), 9u);  // after beat 0: lost
     mem.writeWord(PhysAddr(0x4020), 11u); // before beat 1: visible
-    EXPECT_TRUE(dma.stepBeat());
+    EXPECT_TRUE(ticket.step());
 
     EXPECT_EQ(out[0], 7u);
     EXPECT_EQ(out[1], 0u);
     EXPECT_EQ(out[8], 11u);
 }
 
-TEST_F(DmaTest, AsyncCompletionCallbackRunsAfterFinalBeat)
+TEST_F(DmaTest, SyncPathEqualsStartPlusWait)
 {
-    std::uint32_t data[8] = {};
-    int fired = 0;
-    dma.startWrite(PhysAddr(0), data, 8, [&fired]() { ++fired; });
-    EXPECT_EQ(fired, 0);
-    EXPECT_TRUE(dma.stepBeat());
-    EXPECT_EQ(fired, 1);
-}
-
-TEST_F(DmaTest, SyncPathEqualsStartPlusDrain)
-{
-    // The compat entry points must charge and count exactly what the
-    // async path does, so calibrated benches are unaffected.
+    // The synchronous entry points must charge and count exactly what
+    // the async path does, so calibrated benches are unaffected.
     std::uint32_t data[12] = {};
     const Cycles before = clk.now();
     dma.deviceWrite(PhysAddr(0x1000), data, 12);
     const Cycles syncCost = clk.now() - before;
 
     const Cycles asyncStart = clk.now();
-    dma.startWrite(PhysAddr(0x1000), data, 12);
-    dma.drainAll();
+    dma.startWrite(PhysAddr(0x1000), data, 12).wait();
     EXPECT_EQ(clk.now() - asyncStart, syncCost);
     EXPECT_EQ(syncCost, DmaCosts{}.setup + 12 * DmaCosts{}.perWord);
 
     EXPECT_EQ(stats.value("dma.device_writes"), 2u);
     EXPECT_EQ(stats.value("dma.words_moved"), 24u);
+}
+
+// --- tickets: completion by construction ------------------------------
+//
+// A started transfer must finish before its frame is used again. The
+// ticket a start returns enforces that at run time (a ticket destroyed
+// with beats pending panics) and its [[nodiscard]] type at compile
+// time (tests/compile_diag). Each case below is one shape a leak or a
+// legitimate hand-off takes in real code.
+
+/** A write-back helper that bails out early on @p bail, leaking its
+ *  transfer on that path. */
+void
+writeBackUnlessBusy(DmaEngine &dma, std::uint32_t *out, bool bail)
+{
+    DmaTicket ticket = dma.startRead(PhysAddr(0x1000), out, 16);
+    if (bail)
+        return;
+    ticket.wait();
+}
+
+/** A helper that starts a transfer and leaves finishing it to its
+ *  caller. */
+DmaTicket
+beginFill(DmaEngine &dma, const std::uint32_t *words)
+{
+    return dma.startWrite(PhysAddr(0x2000), words, 16);
+}
+
+using DmaDeathTest = DmaTest;
+
+TEST_F(DmaDeathTest, TicketDroppedOnEarlyReturnPanics)
+{
+    std::uint32_t out[16] = {};
+    writeBackUnlessBusy(dma, out, false);
+    EXPECT_EQ(dma.pendingTransfers(), 0u);
+    EXPECT_DEATH(writeBackUnlessBusy(dma, out, true),
+                 "dropped with beats pending");
+}
+
+TEST_F(DmaDeathTest, TicketReturnedToAWaitingCallerIsFine)
+{
+    std::uint32_t words[16] = {};
+    {
+        DmaTicket ticket = beginFill(dma, words);
+        EXPECT_TRUE(ticket.pending());
+        ticket.wait();
+    }
+    beginFill(dma, words).wait();
+    EXPECT_EQ(dma.pendingTransfers(), 0u);
+    // A caller that drops the handed-over ticket is caught instead.
+    EXPECT_DEATH(static_cast<void>(beginFill(dma, words)),
+                 "dropped with beats pending");
+}
+
+TEST_F(DmaDeathTest, LambdaDroppingAPendingTicketPanics)
+{
+    std::uint32_t words[16] = {};
+    auto deferred = [&] {
+        DmaTicket ticket = dma.startWrite(PhysAddr(0x3000), words, 16);
+        ticket.step();  // one beat of two, then dropped
+    };
+    EXPECT_DEATH(deferred(), "dropped with beats pending");
+}
+
+TEST_F(DmaDeathTest, OverwritingAPendingTicketPanics)
+{
+    std::uint32_t words[16] = {};
+    EXPECT_DEATH(
+        {
+            DmaTicket ticket = dma.startWrite(PhysAddr(0x3000), words, 16);
+            ticket = dma.startWrite(PhysAddr(0x4000), words, 16);
+            ticket.wait();
+        },
+        "dropped with beats pending");
+}
+
+TEST_F(DmaTest, SettledTicketsDestructSilently)
+{
+    std::uint32_t words[16] = {};
+    {
+        // Moved-from: the obligation travels with the move.
+        DmaTicket first = dma.startWrite(PhysAddr(0x1000), words, 16);
+        DmaTicket second = std::move(first);
+        EXPECT_FALSE(first.pending());
+        EXPECT_FALSE(first.step());
+        EXPECT_TRUE(second.pending());
+        second.wait();
+    }
+    {
+        // Zero words: complete at command time, nothing queued.
+        DmaTicket empty = dma.startWrite(PhysAddr(0x1000), words, 0);
+        EXPECT_FALSE(empty.pending());
+        EXPECT_EQ(dma.pendingTransfers(), 0u);
+    }
+    {
+        // Completed, and waiting again is a no-op.
+        DmaTicket done = dma.startRead(PhysAddr(0x1000), words, 16);
+        done.wait();
+        EXPECT_FALSE(done.pending());
+        done.wait();
+    }
+    DmaTicket none;
+    EXPECT_FALSE(none.pending());
+    EXPECT_EQ(dma.pendingTransfers(), 0u);
+}
+
+TEST_F(DmaTest, UnwindingPastAPendingTicketDoesNotPanic)
+{
+    // A failure the caller contains (the experiment engine isolates a
+    // throwing run) must not become an abort on the way out.
+    std::uint32_t words[16] = {};
+    EXPECT_THROW(
+        {
+            DmaTicket ticket = dma.startWrite(PhysAddr(0x1000), words, 16);
+            throw std::runtime_error("contained failure");
+        },
+        std::runtime_error);
 }
 
 } // anonymous namespace

@@ -2,12 +2,14 @@
  * @file
  * ExperimentEngine: spec-order collection under parallel execution,
  * per-run failure isolation, filter semantics, seed derivation, and
- * the JSON artifact round-trip / determinism guarantees.
+ * the JSON artifact round-trip / determinism guarantees, and the
+ * parser's rejection of hostile input.
  */
 
 #include <gtest/gtest.h>
 
 #include <stdexcept>
+#include <string>
 
 #include "experiment/experiment_engine.hh"
 #include "experiment/json_artifact.hh"
@@ -215,6 +217,65 @@ TEST(JsonArtifact, RunResultRoundTrip)
     EXPECT_EQ(back.oracleViolations, r.oracleViolations);
     EXPECT_EQ(back.stats, r.stats);
     EXPECT_EQ(back.traceTail, r.traceTail);
+}
+
+/** The message JsonValue::parse throws for @p text, or "" if it
+ *  parses. */
+std::string
+parseError(const std::string &text)
+{
+    try {
+        JsonValue::parse(text);
+    } catch (const std::runtime_error &e) {
+        return e.what();
+    }
+    return "";
+}
+
+TEST(JsonParse, NestingIsCappedAt256)
+{
+    auto arrays = [](std::size_t depth) {
+        return std::string(depth, '[') + std::string(depth, ']');
+    };
+    EXPECT_EQ(parseError(arrays(256)), "");
+    EXPECT_NE(parseError(arrays(257)).find("nesting too deep"),
+              std::string::npos);
+
+    // Objects count toward the same cap.
+    auto objects = [](std::size_t depth) {
+        std::string s;
+        for (std::size_t i = 0; i < depth; ++i)
+            s += "{\"k\":";
+        return s + "0" + std::string(depth, '}');
+    };
+    EXPECT_EQ(parseError(objects(256)), "");
+    EXPECT_NE(parseError(objects(257)).find("nesting too deep"),
+              std::string::npos);
+
+    // Far past the cap the parser still throws instead of running
+    // out of stack.
+    EXPECT_NE(parseError(std::string(2000000, '[')).find(
+                  "nesting too deep"),
+              std::string::npos);
+}
+
+TEST(JsonParse, UnicodeEscapeNeedsFourHexDigits)
+{
+    EXPECT_EQ(JsonValue::parse("{\"a\":\"\\u0041\"}")
+                  .find("a")
+                  ->asString(),
+              "A");
+    EXPECT_EQ(JsonValue::parse("\"\\u00E9\"").asString(),
+              "\xc3\xa9");
+    for (const char *bad : {"\"\\u00zz\"", "\"\\u 041\"",
+                            "\"\\u-041\"", "\"\\u+041\"",
+                            "\"\\u0x41\""}) {
+        EXPECT_NE(parseError(bad).find("bad \\u escape"),
+                  std::string::npos)
+            << bad;
+    }
+    EXPECT_NE(parseError("\"\\u004\"").find("escape"),
+              std::string::npos);
 }
 
 TEST(JsonArtifact, SerialAndParallelArtifactsAreEquivalent)

@@ -277,6 +277,24 @@ TEST(McExecutor, DmaStartSpawnsBeatThreadAndWaitBlocks)
     EXPECT_EQ(ex.enabled(), (std::vector<int>{1}));
 }
 
+TEST(McExecutor, DestroyedMidTransferFinishesPendingBeats)
+{
+    // Counterexample replays and budget-stopped runs end with beats
+    // still pending. The beat thread owns its transfer's DmaTicket,
+    // which panics if dropped pending, so the executor must finish
+    // the transfer itself on the way out.
+    std::vector<Scenario> g = guardedScenarios(PolicyConfig::cmu());
+    {
+        Executor ex(g[0]);
+        ex.step(1); // busy-acquire
+        ex.step(1); // pmap-dma-read
+        ex.step(1); // dma-start-read: two beats pending
+        ex.step(2); // first beat only
+        EXPECT_EQ(ex.enabled(), (std::vector<int>{2}));
+    }
+    SUCCEED();
+}
+
 TEST(McRace, VectorClocksOrderForkJoinAndBusy)
 {
     std::vector<Scenario> g = guardedScenarios(PolicyConfig::cmu());
