@@ -54,9 +54,8 @@
 #      tests + the shard runner tests + the smoke sweep + the model
 #      checker's exploreMany + the CoherenceBus head-to-head paths +
 #      a sharded fleet sweep) rebuilt and rerun under TSan;
-#   9. static analysis: tools/vic_lint runs all five invariant
-#      passes (determinism, address-kind laundering, counter
-#      registration, whole-program counter liveness, layering — see
+#   9. static analysis: tools/vic_lint runs all three invariant
+#      passes (determinism, address-kind laundering, layering — see
 #      docs/STATIC_ANALYSIS.md) over the tree, gating on zero
 #      diagnostics, and archives LINT_report.json (schema v2, with
 #      per-pass fixpoint stats) plus LINT_report.sarif for CI

@@ -34,18 +34,7 @@ Cache::Cache(std::string cache_name, const CacheGeometry &geom,
       lineTag(lineCols.column<1>()), lineUse(lineCols.column<2>()),
       data(std::uint64_t(geo.numLines()) * geo.wordsPerLine(), 0),
       copies(memory.sizeBytes() / geo.lineBytes()),
-      statReads(stat_set.counter(cacheName + ".reads")),
-      statWrites(stat_set.counter(cacheName + ".writes")),
-      statHits(stat_set.counter(cacheName + ".hits")),
-      statMisses(stat_set.counter(cacheName + ".misses")),
-      statWriteBacks(stat_set.counter(cacheName + ".write_backs")),
-      statFills(stat_set.counter(cacheName + ".fills")),
-      statFlushPresent(stat_set.counter(cacheName + ".flush_present")),
-      statFlushAbsent(stat_set.counter(cacheName + ".flush_absent")),
-      statPurgePresent(stat_set.counter(cacheName + ".purge_present")),
-      statPurgeAbsent(stat_set.counter(cacheName + ".purge_absent")),
-      statFlushCycles(stat_set.counter(cacheName + ".flush_cycles")),
-      statPurgeCycles(stat_set.counter(cacheName + ".purge_cycles"))
+      counters(stat_set.registerTable<kCacheCounters>(cacheName + "."))
 {
     // A physical line has at most one copy per candidate set.
     if (geo.spanColours() > 65535)
@@ -60,12 +49,9 @@ Cache::enableSelfSnoop(Cycles penalty_cycles)
     selfSnoopPenalty = penalty_cycles;
     // Registered lazily so machines without synonym coherence keep
     // their exact pre-existing counter set (artifact bit-identity).
-    if (statSynonymSnoops == nullptr) {
-        statSynonymSnoops =
-            &statSet.counter(cacheName + ".synonym_snoops");
-        statSynonymSnoopCycles =
-            &statSet.counter(cacheName + ".synonym_snoop_cycles");
-    }
+    if (!synonymCounters.registered())
+        synonymCounters =
+            statSet.registerTable<kCacheSynonymCounters>(cacheName + ".");
 }
 
 std::uint32_t
@@ -92,7 +78,7 @@ Cache::writeBack(std::uint32_t line_id)
     PhysAddr base(lineTag[line_id] * geo.lineBytes());
     mem.writeWords(base, lineData(line_id), geo.wordsPerLine());
     lineState[line_id] = MesiState::Exclusive;
-    ++statWriteBacks;
+    ++counters[CacheStat::WriteBacks];
     clk.advance(costs.writeBackPenalty);
 }
 
@@ -103,8 +89,8 @@ Cache::selfSnoopSynonyms(PhysAddr pa_line)
         if (lineDirty(id))
             writeBack(id);
         dropLine(id);
-        ++*statSynonymSnoops;
-        *statSynonymSnoopCycles += selfSnoopPenalty;
+        ++synonymCounters[CacheSynonymStat::Snoops];
+        synonymCounters[CacheSynonymStat::SnoopCycles] += selfSnoopPenalty;
         clk.advance(selfSnoopPenalty);
     });
 }
@@ -132,7 +118,7 @@ Cache::fill(std::uint32_t line_id, PhysAddr pa, bool for_write)
         shared ? MesiState::Shared : MesiState::Exclusive;
     lineTag[line_id] = pa.value / geo.lineBytes();
     ++copies[lineTag[line_id]];
-    ++statFills;
+    ++counters[CacheStat::Fills];
     clk.advance(costs.missPenalty);
 }
 
@@ -141,12 +127,12 @@ Cache::read(VirtAddr va, PhysAddr pa)
 {
     vic_assert(va.value % 4 == 0 && pa.value % 4 == 0,
                "unaligned cache access");
-    ++statReads;
+    ++counters[CacheStat::Reads];
     const std::uint32_t set = geo.setIndex(indexBits(va, pa));
     int way = findWay(set, pa);
     clk.advance(costs.hit);
     if (way < 0) {
-        ++statMisses;
+        ++counters[CacheStat::Misses];
         const std::uint32_t victim = victimWay(set);
         const std::uint32_t id = lineId(set, victim);
         if (lineDirty(id))
@@ -154,7 +140,7 @@ Cache::read(VirtAddr va, PhysAddr pa)
         fill(id, pa, false);
         way = static_cast<int>(victim);
     } else {
-        ++statHits;
+        ++counters[CacheStat::Hits];
     }
     const std::uint32_t id = lineId(set, static_cast<std::uint32_t>(way));
     lineUse[id] = ++useTick;
@@ -168,7 +154,7 @@ Cache::write(VirtAddr va, PhysAddr pa, std::uint32_t value)
 {
     vic_assert(va.value % 4 == 0 && pa.value % 4 == 0,
                "unaligned cache access");
-    ++statWrites;
+    ++counters[CacheStat::Writes];
     const std::uint32_t set = geo.setIndex(indexBits(va, pa));
     int way = findWay(set, pa);
     clk.advance(costs.hit);
@@ -177,10 +163,10 @@ Cache::write(VirtAddr va, PhysAddr pa, std::uint32_t value)
         // No write-allocate: a miss writes straight to memory.
         mem.writeWord(pa, value);
         if (way < 0) {
-            ++statMisses;
+            ++counters[CacheStat::Misses];
             return;
         }
-        ++statHits;
+        ++counters[CacheStat::Hits];
         const std::uint32_t id =
             lineId(set, static_cast<std::uint32_t>(way));
         lineUse[id] = ++useTick;
@@ -193,7 +179,7 @@ Cache::write(VirtAddr va, PhysAddr pa, std::uint32_t value)
 
     // Write-back, write-allocate.
     if (way < 0) {
-        ++statMisses;
+        ++counters[CacheStat::Misses];
         const std::uint32_t victim = victimWay(set);
         const std::uint32_t id = lineId(set, victim);
         if (lineDirty(id))
@@ -201,7 +187,7 @@ Cache::write(VirtAddr va, PhysAddr pa, std::uint32_t value)
         fill(id, pa, true);
         way = static_cast<int>(victim);
     } else {
-        ++statHits;
+        ++counters[CacheStat::Hits];
         const std::uint32_t id =
             lineId(set, static_cast<std::uint32_t>(way));
         // A Shared hit must win exclusive ownership before writing.
@@ -239,9 +225,9 @@ Cache::copyRun(VirtAddr src_va, PhysAddr src_pa, VirtAddr dst_va,
             lineId(dst_set, static_cast<std::uint32_t>(dst_way));
         if (bus != nullptr && lineState[dst_id] == MesiState::Shared)
             return nullptr;
-        statReads += n;
-        statWrites += n;
-        statHits += 2 * std::uint64_t(n);
+        counters[CacheStat::Reads] += n;
+        counters[CacheStat::Writes] += n;
+        counters[CacheStat::Hits] += 2 * std::uint64_t(n);
         clk.advance(2 * Cycles(n) * costs.hit);
         useTick += 2 * std::uint64_t(n);
         lineUse[src_id] = useTick - 1;
@@ -270,11 +256,11 @@ Cache::copyRun(VirtAddr src_va, PhysAddr src_pa, VirtAddr dst_va,
     mem.writeWords(PhysAddr(dst_tag * geo.lineBytes()), line,
                    geo.wordsPerLine());
     out[n - 1] = mem.readWord(src_pa.plus(std::uint64_t(n - 1) * 4));
-    statReads += n;
-    statWrites += n;
-    statMisses += 2 * std::uint64_t(n);
-    statFills += 2 * std::uint64_t(n);
-    statWriteBacks += n;
+    counters[CacheStat::Reads] += n;
+    counters[CacheStat::Writes] += n;
+    counters[CacheStat::Misses] += 2 * std::uint64_t(n);
+    counters[CacheStat::Fills] += 2 * std::uint64_t(n);
+    counters[CacheStat::WriteBacks] += n;
     clk.advance(Cycles(n) * (2 * costs.hit + costs.writeBackPenalty +
                              2 * costs.missPenalty));
     useTick += 2 * std::uint64_t(n);
@@ -291,13 +277,13 @@ Cache::chargeLineOps(bool write_back, std::uint32_t present,
                                               : costs.opLineAbsent);
     clk.advance(cost);
     if (write_back) {
-        statFlushCycles += cost;
-        statFlushPresent += present;
-        statFlushAbsent += absent;
+        counters[CacheStat::FlushCycles] += cost;
+        counters[CacheStat::FlushPresent] += present;
+        counters[CacheStat::FlushAbsent] += absent;
     } else {
-        statPurgeCycles += cost;
-        statPurgePresent += present;
-        statPurgeAbsent += absent;
+        counters[CacheStat::PurgeCycles] += cost;
+        counters[CacheStat::PurgePresent] += present;
+        counters[CacheStat::PurgeAbsent] += absent;
     }
 }
 

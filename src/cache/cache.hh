@@ -90,6 +90,36 @@ struct CacheCosts
     bool uniformOpCost = false;
 };
 
+/** A Cache's counters, registered under its instance prefix
+ *  ("dcache0." + "hits"). */
+enum class CacheStat
+{
+    Reads,
+    Writes,
+    Hits,
+    Misses,
+    WriteBacks,
+    Fills,
+    FlushPresent,
+    FlushAbsent,
+    PurgePresent,
+    PurgeAbsent,
+    FlushCycles, ///< cycles spent in flush operations
+    PurgeCycles, ///< cycles spent in purge operations
+    Count
+};
+inline constexpr CounterTable<CacheStat> kCacheCounters{
+    "reads",         "writes",       "hits",          "misses",
+    "write_backs",   "fills",        "flush_present", "flush_absent",
+    "purge_present", "purge_absent", "flush_cycles",  "purge_cycles"};
+
+/** The synonym self-snoop rows, registered by enableSelfSnoop() only,
+ *  so machines without synonym coherence keep their exact counter
+ *  set. */
+enum class CacheSynonymStat { Snoops, SnoopCycles, Count };
+inline constexpr CounterTable<CacheSynonymStat> kCacheSynonymCounters{
+    "synonym_snoops", "synonym_snoop_cycles"};
+
 class Cache
 {
   public:
@@ -180,8 +210,8 @@ class Cache
         const int way = findWay(set, pa);
         if (way < 0)
             return nullptr;
-        statReads += n;
-        statHits += n;
+        counters[CacheStat::Reads] += n;
+        counters[CacheStat::Hits] += n;
         clk.advance(Cycles(n) * costs.hit);
         const std::uint32_t id =
             lineId(set, static_cast<std::uint32_t>(way));
@@ -212,8 +242,8 @@ class Cache
             lineId(set, static_cast<std::uint32_t>(way));
         if (bus != nullptr && lineState[id] == MesiState::Shared)
             return false;
-        statWrites += n;
-        statHits += n;
+        counters[CacheStat::Writes] += n;
+        counters[CacheStat::Hits] += n;
         clk.advance(Cycles(n) * costs.hit);
         useTick += n;
         lineUse[id] = useTick;
@@ -358,20 +388,8 @@ class Cache
     bool selfSnoop = false;
     Cycles selfSnoopPenalty = 0;
 
-    Counter &statReads;
-    Counter &statWrites;
-    Counter &statHits;
-    Counter &statMisses;
-    Counter &statWriteBacks;
-    Counter &statFills;
-    Counter &statFlushPresent;
-    Counter &statFlushAbsent;
-    Counter &statPurgePresent;
-    Counter &statPurgeAbsent;
-    Counter &statFlushCycles; ///< cycles spent in flush operations
-    Counter &statPurgeCycles; ///< cycles spent in purge operations
-    Counter *statSynonymSnoops = nullptr;      ///< lazily registered
-    Counter *statSynonymSnoopCycles = nullptr; ///< lazily registered
+    Counters<kCacheCounters> counters;
+    Counters<kCacheSynonymCounters> synonymCounters;
 
     std::uint64_t
     indexBits(VirtAddr va, PhysAddr pa) const

@@ -6,12 +6,7 @@ namespace vic
 CoherenceBus::CoherenceBus(Cycles snoop_penalty, CycleClock &clock,
                            StatSet &stat_set)
     : snoopPenalty(snoop_penalty), clk(clock),
-      statReads(stat_set.counter("bus.reads")),
-      statReadExclusives(stat_set.counter("bus.read_exclusives")),
-      statUpgrades(stat_set.counter("bus.upgrades")),
-      statInterventions(stat_set.counter("bus.interventions")),
-      statInvalidations(stat_set.counter("bus.invalidations")),
-      statSnoopCycles(stat_set.counter("bus.snoop_cycles"))
+      counters(stat_set.registerTable<kBusCounters>())
 {
 }
 
@@ -36,11 +31,11 @@ CoherenceBus::snoopPeers(const Cache *requester, PhysAddr pa_line,
         summary.hadCopy |= r.hadCopy;
         summary.intervened |= r.intervened;
         if (invalidate && r.hadCopy)
-            ++statInvalidations;
+            ++counters[BusStat::Invalidations];
     }
     if (summary.intervened) {
-        ++statInterventions;
-        statSnoopCycles += snoopPenalty;
+        ++counters[BusStat::Interventions];
+        counters[BusStat::SnoopCycles] += snoopPenalty;
         clk.advance(snoopPenalty);
     }
     return summary;
@@ -49,21 +44,21 @@ CoherenceBus::snoopPeers(const Cache *requester, PhysAddr pa_line,
 bool
 CoherenceBus::busRead(const Cache *requester, PhysAddr pa_line)
 {
-    ++statReads;
+    ++counters[BusStat::Reads];
     return snoopPeers(requester, pa_line, false).hadCopy;
 }
 
 void
 CoherenceBus::busReadExclusive(const Cache *requester, PhysAddr pa_line)
 {
-    ++statReadExclusives;
+    ++counters[BusStat::ReadExclusives];
     snoopPeers(requester, pa_line, true);
 }
 
 void
 CoherenceBus::busUpgrade(const Cache *requester, PhysAddr pa_line)
 {
-    ++statUpgrades;
+    ++counters[BusStat::Upgrades];
     snoopPeers(requester, pa_line, true);
 }
 

@@ -44,6 +44,22 @@
 namespace vic
 {
 
+/** CoherenceBus's counters: registered only where a bus exists, so
+ *  machines without one keep their exact counter set. */
+enum class BusStat
+{
+    Reads,          ///< busRead transactions
+    ReadExclusives, ///< busReadExclusive transactions
+    Upgrades,       ///< busUpgrade transactions
+    Interventions,  ///< transactions a peer supplied data
+    Invalidations,  ///< peer copies invalidated
+    SnoopCycles,    ///< snoop-penalty cycles charged
+    Count
+};
+inline constexpr CounterTable<BusStat> kBusCounters{
+    "bus.reads",         "bus.read_exclusives", "bus.upgrades",
+    "bus.interventions", "bus.invalidations",   "bus.snoop_cycles"};
+
 class CoherenceBus
 {
   public:
@@ -93,12 +109,7 @@ class CoherenceBus
     Cycles snoopPenalty;
     CycleClock &clk;
 
-    Counter &statReads;          ///< busRead transactions
-    Counter &statReadExclusives; ///< busReadExclusive transactions
-    Counter &statUpgrades;       ///< busUpgrade transactions
-    Counter &statInterventions;  ///< transactions a peer supplied data
-    Counter &statInvalidations;  ///< peer copies invalidated
-    Counter &statSnoopCycles;    ///< snoop-penalty cycles charged
+    Counters<kBusCounters> counters;
 };
 
 } // namespace vic

@@ -388,6 +388,45 @@ class Parser
         return true;
     }
 
+    /** The four hex digits of a \u escape, as a code unit. */
+    unsigned
+    parseHex4()
+    {
+        if (pos + 4 > text.size())
+            fail("truncated \\u escape");
+        unsigned code = 0;
+        for (std::size_t end = pos + 4; pos < end; ++pos) {
+            const unsigned char h = static_cast<unsigned char>(text[pos]);
+            if (!std::isxdigit(h))
+                fail("bad \\u escape");
+            code = code * 16 +
+                   unsigned(h <= '9' ? h - '0' : (h | 0x20) - 'a' + 10);
+        }
+        return code;
+    }
+
+    /** Append code point @p code (≤ U+10FFFF, not a surrogate) as
+     *  UTF-8. */
+    static void
+    appendUtf8(std::string &out, unsigned code)
+    {
+        if (code < 0x80) {
+            out += static_cast<char>(code);
+        } else if (code < 0x800) {
+            out += static_cast<char>(0xc0 | (code >> 6));
+            out += static_cast<char>(0x80 | (code & 0x3f));
+        } else if (code < 0x10000) {
+            out += static_cast<char>(0xe0 | (code >> 12));
+            out += static_cast<char>(0x80 | ((code >> 6) & 0x3f));
+            out += static_cast<char>(0x80 | (code & 0x3f));
+        } else {
+            out += static_cast<char>(0xf0 | (code >> 18));
+            out += static_cast<char>(0x80 | ((code >> 12) & 0x3f));
+            out += static_cast<char>(0x80 | ((code >> 6) & 0x3f));
+            out += static_cast<char>(0x80 | (code & 0x3f));
+        }
+    }
+
     std::string
     parseStringBody()
     {
@@ -416,24 +455,22 @@ class Parser
               case 'r': out += '\r'; break;
               case 't': out += '\t'; break;
               case 'u': {
-                  if (pos + 4 > text.size())
-                      fail("truncated \\u escape");
-                  for (std::size_t i = pos; i < pos + 4; ++i)
-                      if (!std::isxdigit(
-                              static_cast<unsigned char>(text[i])))
+                  unsigned code = parseHex4();
+                  // A high surrogate must pair with a low one into a
+                  // single code point; either half alone is invalid.
+                  if (code >= 0xdc00 && code <= 0xdfff)
+                      fail("bad \\u escape");
+                  if (code >= 0xd800 && code <= 0xdbff) {
+                      if (text.compare(pos, 2, "\\u") != 0)
                           fail("bad \\u escape");
-                  unsigned code = static_cast<unsigned>(std::strtoul(
-                      text.substr(pos, 4).c_str(), nullptr, 16));
-                  pos += 4;
-                  // The writer only emits \u00xx control escapes;
-                  // decode the Latin-1 range and pass anything wider
-                  // through as UTF-8 is out of scope for artifacts.
-                  if (code < 0x80) {
-                      out += static_cast<char>(code);
-                  } else {
-                      out += static_cast<char>(0xc0 | (code >> 6));
-                      out += static_cast<char>(0x80 | (code & 0x3f));
+                      pos += 2;
+                      const unsigned low = parseHex4();
+                      if (low < 0xdc00 || low > 0xdfff)
+                          fail("bad \\u escape");
+                      code = 0x10000 + ((code - 0xd800) << 10) +
+                             (low - 0xdc00);
                   }
+                  appendUtf8(out, code);
                   break;
               }
               default:

@@ -8,40 +8,59 @@
 namespace vic
 {
 
+Counter *
+StatSet::addRows(const void *owner, std::string_view prefix,
+                 std::span<const char *const> names)
+{
+    const auto nameOf = [prefix, names](std::size_t i) {
+        std::string name(prefix);
+        name += names[i];
+        return name;
+    };
+    const auto prior = index.find(nameOf(0));
+    if (prior != index.end() && prior->second.owner == owner) {
+        // Another instance of the same component: share its rows.
+        Counter *rows = prior->second.counter;
+        for (std::size_t i = 1; i < names.size(); ++i) {
+            const auto it = index.find(nameOf(i));
+            vic_assert(it != index.end() && it->second.counter == rows + i,
+                       "counter %s registered apart from its table",
+                       nameOf(i).c_str());
+        }
+        return rows;
+    }
+    blocks.emplace_back(new Counter[names.size()]);
+    Counter *rows = blocks.back().get();
+    for (std::size_t i = 0; i < names.size(); ++i) {
+        std::string name = nameOf(i);
+        if (!validCounterName(name))
+            vic_panic("counter name \"%s\" is not lower-case [a-z0-9_.]",
+                      name.c_str());
+        if (!index.emplace(name, Slot{rows + i, owner}).second)
+            vic_panic("counter %s is already registered by another table",
+                      name.c_str());
+    }
+    return rows;
+}
+
 Counter &
 StatSet::counter(const std::string &name)
 {
-    auto it = index.find(name);
-    if (it != index.end())
-        return *it->second;
-    storage.emplace_back(name);
-    Counter &c = storage.back();
-    index.emplace(name, &c);
-    return c;
+    const auto it = index.find(name);
+    if (it == index.end()) {
+        const char *row = name.c_str();
+        return *addRows(nullptr, {}, std::span(&row, 1));
+    }
+    if (it->second.owner != nullptr)
+        vic_panic("counter %s is owned by a table", name.c_str());
+    return *it->second.counter;
 }
 
 std::uint64_t
 StatSet::value(const std::string &name) const
 {
     auto it = index.find(name);
-    return it == index.end() ? 0 : it->second->value();
-}
-
-void
-StatSet::clearAll()
-{
-    for (auto &c : storage)
-        c.clear();
-}
-
-std::vector<const Counter *>
-StatSet::all() const
-{
-    std::vector<const Counter *> out;
-    out.reserve(storage.size());
-    for (const auto &c : storage)
-        out.push_back(&c);
-    return out;
+    return it == index.end() ? 0 : it->second.counter->value();
 }
 
 namespace
@@ -96,31 +115,8 @@ StatSet::snapshot() const
     // index is ordered by name: the entries come out sorted.
     StatSnapshot out;
     out.entries.reserve(index.size());
-    for (const auto &[name, c] : index)
-        out.entries.emplace_back(name, c->value());
-    return out;
-}
-
-std::string
-StatSet::render(const std::string &prefix, bool include_zero) const
-{
-    std::vector<const Counter *> selected;
-    for (const auto &c : storage) {
-        if (c.name().rfind(prefix, 0) != 0)
-            continue;
-        if (c.value() == 0 && !include_zero)
-            continue;
-        selected.push_back(&c);
-    }
-    std::sort(selected.begin(), selected.end(),
-              [](const Counter *a, const Counter *b) {
-                  return a->name() < b->name();
-              });
-    std::string out;
-    for (const Counter *c : selected) {
-        out += format("%-36s %llu\n", c->name().c_str(),
-                      (unsigned long long)c->value());
-    }
+    for (const auto &[name, slot] : index)
+        out.entries.emplace_back(name, slot.counter->value());
     return out;
 }
 

@@ -9,7 +9,7 @@ LazyPmap::LazyPmap(Machine &m, const PolicyConfig &policy_config)
     : Pmap(m, policy_config),
       dColours(m.dcache().geometry().numColours()),
       iColours(m.icache().geometry().numColours()),
-      statSyncs(m.stats().counter("pmap.modified_bit_syncs"))
+      counters(m.stats().registerTable<kLazyPmapCounters>())
 {
 }
 
@@ -49,7 +49,7 @@ LazyPmap::syncDirtyFromModifiedBits(PhysPageInfo &info)
 {
     for (auto &m : info.mappings) {
         if (mach.pageTable().clearModified(m.va)) {
-            ++statSyncs;
+            ++counters[LazyPmapStat::ModifiedBitSyncs];
             if (!info.dstate.cacheDirty) {
                 // A write was permitted without a fault, which the
                 // protection logic only allows while exactly one data
@@ -197,7 +197,7 @@ void
 LazyPmap::cacheControl(FrameId frame, PhysPageInfo &info, MemOp op,
                        std::optional<SpaceVa> target, AccessType access,
                        bool will_overwrite, bool need_data,
-                       const char *reason)
+                       PageOpReason reason)
 {
     mach.clock().advance(mach.params().pmapOverheadCycles);
 
@@ -256,8 +256,9 @@ LazyPmap::enter(SpaceVa va, FrameId frame, Protection vm_prot,
     pi.addMapping(va, vm_prot);
 
     const MemOp op = isWrite(access) ? MemOp::CpuWrite : MemOp::CpuRead;
-    const char *reason =
-        access == AccessType::IFetch ? "ifetch" : "newmap";
+    const PageOpReason reason = access == AccessType::IFetch
+                                    ? PageOpReason::IFetch
+                                    : PageOpReason::Newmap;
     cacheControl(frame, pi, op, va, access, hints.willOverwrite,
                  hints.needData, reason);
 }
@@ -316,8 +317,9 @@ LazyPmap::resolveConsistencyFault(SpaceVa va, AccessType access)
         return false;  // genuine VM-level denial (e.g. copy-on-write)
 
     const MemOp op = isWrite(access) ? MemOp::CpuWrite : MemOp::CpuRead;
-    const char *reason =
-        access == AccessType::IFetch ? "ifetch" : "fault";
+    const PageOpReason reason = access == AccessType::IFetch
+                                    ? PageOpReason::IFetch
+                                    : PageOpReason::Fault;
     cacheControl(pte->frame, pi, op, va, access, false, true, reason);
 
     vic_assert(protPermits(mach.pageTable().lookup(va)->prot, access),
@@ -332,7 +334,7 @@ LazyPmap::dmaRead(FrameId frame, bool need_data)
     if (it == pages.end())
         return;  // never cached: memory is trivially current
     cacheControl(frame, it->second, MemOp::DmaRead, std::nullopt,
-                 AccessType::Load, false, need_data, "dma_read");
+                 AccessType::Load, false, need_data, PageOpReason::DmaRead);
 }
 
 void
@@ -345,7 +347,7 @@ LazyPmap::dmaWrite(FrameId frame)
     if (it == pages.end())
         return;
     cacheControl(frame, it->second, MemOp::DmaWrite, std::nullopt,
-                 AccessType::Load, false, false, "dma_write");
+                 AccessType::Load, false, false, PageOpReason::DmaWrite);
 }
 
 void

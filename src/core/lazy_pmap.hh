@@ -40,6 +40,11 @@
 namespace vic
 {
 
+/** LazyPmap's counters (common/stats.hh). */
+enum class LazyPmapStat { ModifiedBitSyncs, Count };
+inline constexpr CounterTable<LazyPmapStat> kLazyPmapCounters{
+    "pmap.modified_bit_syncs"};
+
 class LazyPmap : public Pmap
 {
   public:
@@ -114,7 +119,7 @@ class LazyPmap : public Pmap
     std::uint32_t iColours;
     std::unordered_map<FrameId, PhysPageInfo> pages;
 
-    Counter &statSyncs;
+    Counters<kLazyPmapCounters> counters;
 
     PhysPageInfo &getInfo(FrameId frame);
 
@@ -132,7 +137,7 @@ class LazyPmap : public Pmap
     void cacheControl(FrameId frame, PhysPageInfo &info, MemOp op,
                       std::optional<SpaceVa> target, AccessType access,
                       bool will_overwrite, bool need_data,
-                      const char *reason);
+                      PageOpReason reason);
 
     /** Cache-state-permitted protection for one mapping (the final
      *  stanza's per-mapping decision). */

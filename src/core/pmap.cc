@@ -9,34 +9,30 @@ namespace vic
 
 Pmap::Pmap(Machine &m, const PolicyConfig &policy_config)
     : mach(m), cfg(policy_config),
-      statDFlushes(m.stats().counter("pmap.d_page_flushes")),
-      statDPurges(m.stats().counter("pmap.d_page_purges")),
-      statIPurges(m.stats().counter("pmap.i_page_purges"))
+      counters(m.stats().registerTable<kPmapCounters>())
 {
 }
 
-Counter &
-Pmap::reasonCounter(const char *kind, const char *reason)
+void
+Pmap::countPageOp(PmapStat kind, PageOpReason reason)
 {
-    for (const ReasonSlot &slot : reasonSlots) {
-        if (slot.kind == kind && slot.reason == reason)
-            return *slot.counter;
-    }
-    reasonSlots.push_back(
-        {kind, reason,
-         &mach.stats().counter(format("pmap.%s.%s", kind, reason))});
-    return *reasonSlots.back().counter;
+    ++counters[kind];
+    Counter *&row = reasonCounters[std::size_t(kind)][std::size_t(reason)];
+    if (row == nullptr)
+        row = &mach.stats().registerRow<kPageOpReasons>(
+            kPageOpReasonPrefixes[std::size_t(kind)], reason);
+    ++*row;
 }
 
 void
 Pmap::flushDataPage(FrameId frame, CachePageId colour,
-                    const char *reason)
+                    PageOpReason reason)
 {
-    ++statDFlushes;
-    ++reasonCounter("d_flush", reason);
+    countPageOp(PmapStat::DPageFlushes, reason);
     VIC_EVLOG(mach.events(),
               format("flush  D frame=%llu colour=%u (%s)",
-                     (unsigned long long)frame, colour, reason));
+                     (unsigned long long)frame, colour,
+                     reasonName(reason)));
     // On a multiprocessor the dirty line may live in any CPU's cache
     // (hardware coherence migrates it): the operation is broadcast, as
     // a cross-processor shootdown would be.
@@ -47,13 +43,13 @@ Pmap::flushDataPage(FrameId frame, CachePageId colour,
 
 void
 Pmap::purgeDataPage(FrameId frame, CachePageId colour,
-                    const char *reason)
+                    PageOpReason reason)
 {
-    ++statDPurges;
-    ++reasonCounter("d_purge", reason);
+    countPageOp(PmapStat::DPagePurges, reason);
     VIC_EVLOG(mach.events(),
               format("purge  D frame=%llu colour=%u (%s)",
-                     (unsigned long long)frame, colour, reason));
+                     (unsigned long long)frame, colour,
+                     reasonName(reason)));
     for (std::uint32_t cpu = 0; cpu < mach.numCpus(); ++cpu)
         mach.dcache(cpu).purgePage(dColourVa(colour),
                                    mach.frameAddr(frame));
@@ -61,13 +57,13 @@ Pmap::purgeDataPage(FrameId frame, CachePageId colour,
 
 void
 Pmap::purgeInstPage(FrameId frame, CachePageId colour,
-                    const char *reason)
+                    PageOpReason reason)
 {
-    ++statIPurges;
-    ++reasonCounter("i_purge", reason);
+    countPageOp(PmapStat::IPagePurges, reason);
     VIC_EVLOG(mach.events(),
               format("purge  I frame=%llu colour=%u (%s)",
-                     (unsigned long long)frame, colour, reason));
+                     (unsigned long long)frame, colour,
+                     reasonName(reason)));
     for (std::uint32_t cpu = 0; cpu < mach.numCpus(); ++cpu)
         mach.icache(cpu).purgePage(iColourVa(colour),
                                    mach.frameAddr(frame));

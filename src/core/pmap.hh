@@ -21,6 +21,7 @@
 #ifndef VIC_CORE_PMAP_HH
 #define VIC_CORE_PMAP_HH
 
+#include <array>
 #include <memory>
 #include <optional>
 #include <string>
@@ -34,6 +35,43 @@
 
 namespace vic
 {
+
+/** Why a pmap flushed or purged a cache page: the causes the
+ *  evaluation attributes page operations to. */
+enum class PageOpReason
+{
+    Unmap,    ///< a mapping is removed
+    Newmap,   ///< a mapping is entered
+    Alias,    ///< a store to a page with unaligned aliases
+    DmaRead,  ///< a device is about to read the frame
+    DmaWrite, ///< a device is about to write the frame
+    IFetch,   ///< an instruction fetch needs the data
+    Fault,    ///< a consistency fault on an existing mapping
+    Count
+};
+
+/** Reason names: the suffix of the pmap.<kind>.<reason> rows and the
+ *  text the event log prints. */
+inline constexpr CounterTable<PageOpReason> kPageOpReasons{
+    "unmap",    "newmap", "alias", "dma_read",
+    "dma_write", "ifetch", "fault"};
+
+constexpr const char *
+reasonName(PageOpReason reason)
+{
+    return kPageOpReasons.name(reason);
+}
+
+/** Pmap's counters: cache page operations by kind. */
+enum class PmapStat { DPageFlushes, DPagePurges, IPagePurges, Count };
+inline constexpr CounterTable<PmapStat> kPmapCounters{
+    "pmap.d_page_flushes", "pmap.d_page_purges", "pmap.i_page_purges"};
+
+/** The prefix of each kind's reason rows, by PmapStat: a data-page
+ *  flush for reason r counts in "pmap.d_flush." + reasonName(r). */
+inline constexpr std::array<const char *, kPmapCounters.kRows>
+    kPageOpReasonPrefixes{"pmap.d_flush.", "pmap.d_purge.",
+                          "pmap.i_purge."};
 
 class Pmap
 {
@@ -148,15 +186,14 @@ class Pmap
     PolicyConfig cfg;
 
     // --- cache page operations with statistics attribution ---
-    // @p reason tags the operation for the evaluation tables, e.g.
-    // "unmap", "newmap", "alias", "dma_read", "dma_write", "ifetch".
+    // @p reason tags the operation for the evaluation tables.
 
     void flushDataPage(FrameId frame, CachePageId colour,
-                       const char *reason);
+                       PageOpReason reason);
     void purgeDataPage(FrameId frame, CachePageId colour,
-                       const char *reason);
+                       PageOpReason reason);
     void purgeInstPage(FrameId frame, CachePageId colour,
-                       const char *reason);
+                       PageOpReason reason);
 
     // --- page table + TLB updates ---
 
@@ -170,21 +207,16 @@ class Pmap
     void setHardwareProt(SpaceVa va, Protection prot);
 
   private:
-    Counter &statDFlushes;
-    Counter &statDPurges;
-    Counter &statIPurges;
+    Counters<kPmapCounters> counters;
 
-    /** Per-(kind, reason) counters already registered, so a page op
-     *  neither formats its counter name nor looks it up by name. */
-    struct ReasonSlot
-    {
-        const char *kind; ///< one of pmap.cc's literals, by address
-        std::string reason;
-        Counter *counter;
-    };
-    std::vector<ReasonSlot> reasonSlots;
+    /** The pmap.<kind>.<reason> rows by [kind][reason], each
+     *  registered when first bumped, so an artifact lists only the
+     *  causes that occurred. */
+    std::array<std::array<Counter *, kPageOpReasons.kRows>,
+               kPmapCounters.kRows>
+        reasonCounters{};
 
-    Counter &reasonCounter(const char *kind, const char *reason);
+    void countPageOp(PmapStat kind, PageOpReason reason);
 };
 
 } // namespace vic

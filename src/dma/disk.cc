@@ -11,8 +11,7 @@ Disk::Disk(std::uint32_t block_bytes, Cycles access_cycles,
            DmaEngine &engine, CycleClock &clock, StatSet &stat_set)
     : blockSize(block_bytes), accessCycles(access_cycles), dma(engine),
       clk(clock),
-      statBlockReads(stat_set.counter("disk.block_reads")),
-      statBlockWrites(stat_set.counter("disk.block_writes"))
+      counters(stat_set.registerTable<kDiskCounters>())
 {
     vic_assert(block_bytes % 4 == 0, "block size %u not word multiple",
                block_bytes);
@@ -21,7 +20,7 @@ Disk::Disk(std::uint32_t block_bytes, Cycles access_cycles,
 void
 Disk::readBlock(std::uint64_t block, PhysAddr pa)
 {
-    ++statBlockReads;
+    ++counters[DiskStat::BlockReads];
     clk.advance(accessCycles);
     auto it = blocks.find(block);
     if (it == blocks.end()) {
@@ -35,7 +34,7 @@ Disk::readBlock(std::uint64_t block, PhysAddr pa)
 void
 Disk::writeBlock(std::uint64_t block, PhysAddr pa)
 {
-    ++statBlockWrites;
+    ++counters[DiskStat::BlockWrites];
     clk.advance(accessCycles);
     std::vector<std::uint32_t> staging(wordsPerBlock());
     dma.deviceRead(pa, staging.data(), wordsPerBlock());

@@ -25,6 +25,12 @@
 namespace vic
 {
 
+/** Disk's counters (common/stats.hh). */
+enum class DiskStat { BlockReads, BlockWrites, Count };
+inline constexpr CounterTable<DiskStat> kDiskCounters{
+    "disk.block_reads",
+    "disk.block_writes"};
+
 class Disk
 {
   public:
@@ -62,8 +68,7 @@ class Disk
 
     std::unordered_map<std::uint64_t, std::vector<std::uint32_t>> blocks;
 
-    Counter &statBlockReads;
-    Counter &statBlockWrites;
+    Counters<kDiskCounters> counters;
 
     std::uint32_t wordsPerBlock() const { return blockSize / 4; }
 };

@@ -11,9 +11,7 @@ namespace vic
 DmaEngine::DmaEngine(const DmaCosts &dma_costs, PhysicalMemory &memory,
                      CycleClock &clock, StatSet &stat_set)
     : costs(dma_costs), mem(memory), clk(clock),
-      statWrites(stat_set.counter("dma.device_writes")),
-      statReads(stat_set.counter("dma.device_reads")),
-      statWordsMoved(stat_set.counter("dma.words_moved"))
+      counters(stat_set.registerTable<kDmaCounters>())
 {
 }
 
@@ -90,10 +88,10 @@ DmaEngine::start(bool device_writes, PhysAddr pa,
     // the historic atomic implementation charged it, so the
     // synchronous path's cycle totals and statistics are unchanged.
     if (device_writes)
-        ++statWrites;
+        ++counters[DmaStat::DeviceWrites];
     else
-        ++statReads;
-    statWordsMoved += nwords;
+        ++counters[DmaStat::DeviceReads];
+    counters[DmaStat::WordsMoved] += nwords;
     clk.advance(costs.setup);
     if (evlog) {
         VIC_EVLOG(*evlog,

@@ -98,6 +98,13 @@ class [[nodiscard]] DmaTicket
     DmaTransferId tid = 0;
 };
 
+/** DmaEngine's counters (common/stats.hh). */
+enum class DmaStat { DeviceWrites, DeviceReads, WordsMoved, Count };
+inline constexpr CounterTable<DmaStat> kDmaCounters{
+    "dma.device_writes",
+    "dma.device_reads",
+    "dma.words_moved"};
+
 class DmaEngine
 {
   public:
@@ -205,9 +212,7 @@ class DmaEngine
     std::deque<Transfer> queue; ///< FIFO of incomplete transfers
     DmaTransferId nextId = 1;
 
-    Counter &statWrites;
-    Counter &statReads;
-    Counter &statWordsMoved;
+    Counters<kDmaCounters> counters;
 
     friend class DmaTicket;
 

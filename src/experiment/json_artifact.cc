@@ -308,15 +308,8 @@ bool
 artifactsEquivalent(const std::string &a_text,
                     const std::string &b_text, std::string *why)
 {
-    JsonValue a, b;
-    try {
-        a = JsonValue::parse(a_text);
-        b = JsonValue::parse(b_text);
-    } catch (const std::exception &e) {
-        if (why)
-            *why = e.what();
-        return false;
-    }
+    JsonValue a = JsonValue::parse(a_text);
+    JsonValue b = JsonValue::parse(b_text);
     // The batch header legitimately differs in "jobs" and "shards"
     // (neither may change results); everything else outside wall-clock
     // must agree. "shards" is ERASED rather than zeroed so artifacts

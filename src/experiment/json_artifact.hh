@@ -104,7 +104,8 @@ void stripWallClock(JsonValue &v);
 /**
  * Compare two artifact texts modulo wall-clock fields. Returns true
  * when equivalent; otherwise false with a human-readable reason in
- * @p why (when non-null).
+ * @p why (when non-null). A text that is not JSON is no answer either
+ * way: JsonValue::parse's std::runtime_error propagates.
  */
 bool artifactsEquivalent(const std::string &a_text,
                          const std::string &b_text, std::string *why);

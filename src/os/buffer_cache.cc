@@ -8,9 +8,7 @@ namespace vic
 
 BufferCache::BufferCache(Kernel &k, const OsParams &os_params)
     : kernel(k), params(os_params), slots(os_params.bufferCacheSlots),
-      statHits(k.machine().stats().counter("bcache.hits")),
-      statMisses(k.machine().stats().counter("bcache.misses")),
-      statWriteBacks(k.machine().stats().counter("bcache.write_backs"))
+      counters(k.machine().stats().registerTable<kBufferCacheCounters>())
 {
 }
 
@@ -90,7 +88,7 @@ BufferCache::flushSlot(std::uint32_t slot)
 {
     Slot &s = slots[slot];
     vic_assert(s.valid && s.dirty, "flush of clean slot");
-    ++statWriteBacks;
+    ++counters[BufferCacheStat::WriteBacks];
     // The device is about to read the frame: dirty cache data must be
     // flushed to memory first (the DMA-read consistency step).
     kernel.pmap().dmaRead(s.frame, true);
@@ -158,14 +156,14 @@ BufferCache::getBlock(FileId file, std::uint64_t block, bool for_write,
 {
     int idx = findSlot(file, block);
     if (idx < 0) {
-        ++statMisses;
+        ++counters[BufferCacheStat::Misses];
         const std::uint32_t slot = reclaimSlot();
         ensureSlotBacking(slot);
         recycleSlotFrame(slot);
         fillSlot(slot, file, block, for_write && whole_block_write);
         idx = static_cast<int>(slot);
     } else {
-        ++statHits;
+        ++counters[BufferCacheStat::Hits];
     }
     Slot &s = slots[static_cast<std::uint32_t>(idx)];
     s.lastUse = ++useTick;

@@ -29,6 +29,13 @@ namespace vic
 
 class Kernel;
 
+/** BufferCache's counters (common/stats.hh). */
+enum class BufferCacheStat { Hits, Misses, WriteBacks, Count };
+inline constexpr CounterTable<BufferCacheStat> kBufferCacheCounters{
+    "bcache.hits",
+    "bcache.misses",
+    "bcache.write_backs"};
+
 class BufferCache
 {
   public:
@@ -85,9 +92,7 @@ class BufferCache
     std::vector<Slot> slots;
     std::uint64_t useTick = 0;
 
-    Counter &statHits;
-    Counter &statMisses;
-    Counter &statWriteBacks;
+    Counters<kBufferCacheCounters> counters;
 
     VirtAddr slotKva(std::uint32_t slot) const;
 

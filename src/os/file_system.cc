@@ -6,8 +6,7 @@ namespace vic
 {
 
 FileSystem::FileSystem(StatSet &stat_set)
-    : statCreates(stat_set.counter("fs.creates")),
-      statDeletes(stat_set.counter("fs.deletes"))
+    : counters(stat_set.registerTable<kFileSystemCounters>())
 {
 }
 
@@ -32,7 +31,7 @@ FileSystem::create(const std::string &name)
 {
     vic_assert(byName.find(name) == byName.end(),
                "file '%s' already exists", name.c_str());
-    ++statCreates;
+    ++counters[FileSystemStat::Creates];
     const FileId id = static_cast<FileId>(files.size());
     files.push_back(File{name, 0, {}, true});
     byName.emplace(name, id);
@@ -52,7 +51,7 @@ void
 FileSystem::remove(FileId file)
 {
     File &f = get(file);
-    ++statDeletes;
+    ++counters[FileSystemStat::Deletes];
     for (const auto &b : f.blocks) {
         if (b)
             freeDiskBlocks.push_back(*b);

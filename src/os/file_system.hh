@@ -20,6 +20,12 @@
 namespace vic
 {
 
+/** FileSystem's counters (common/stats.hh). */
+enum class FileSystemStat { Creates, Deletes, Count };
+inline constexpr CounterTable<FileSystemStat> kFileSystemCounters{
+    "fs.creates",
+    "fs.deletes"};
+
 class FileSystem
 {
   public:
@@ -68,8 +74,7 @@ class FileSystem
     std::vector<std::uint64_t> freeDiskBlocks;
     std::uint64_t nextDiskBlock = 0;
 
-    Counter &statCreates;
-    Counter &statDeletes;
+    Counters<kFileSystemCounters> counters;
 
     File &get(FileId file);
     const File &get(FileId file) const;

@@ -29,13 +29,7 @@ Kernel::Kernel(Machine &m, const PolicyConfig &policy,
       framePool(policy.freeListOrg,
                 m.dcache().geometry().numColours()),
       fileSystem(m.stats()),
-      statMappingFaults(m.stats().counter("os.mapping_faults")),
-      statConsistencyFaults(m.stats().counter("os.consistency_faults")),
-      statCowFaults(m.stats().counter("os.cow_faults")),
-      statDToICopies(m.stats().counter("os.d_to_i_copies")),
-      statIpcTransfers(m.stats().counter("os.ipc_transfers")),
-      statSyscalls(m.stats().counter("os.syscalls")),
-      statPageins(m.stats().counter("os.pageins"))
+      counters(m.stats().registerTable<kKernelCounters>())
 {
     for (std::uint32_t c = 0; c < m.numCpus(); ++c)
         cpus.push_back(std::make_unique<Cpu>(m, c));
@@ -365,7 +359,7 @@ Kernel::spaceLoadWords(Cpu &c, SpaceId space, VirtAddr va,
 void
 Kernel::syscallRoundTrip(Task &task)
 {
-    ++statSyscalls;
+    ++counters[KernelStat::Syscalls];
     const std::uint32_t n = osParams.syscallArgWords;
     // Task marshals arguments into the shared page...
     Cpu &task_cpu = *cpus[task.cpu];
@@ -522,7 +516,7 @@ Kernel::fileReadPageIpc(TaskId task, FileId file, std::uint64_t block)
     t.as->createRegion(dest_va, 1, Protection::readWrite(),
                        Protection::readWrite(), std::move(obj), 0,
                        false);
-    ++statIpcTransfers;
+    ++counters[KernelStat::IpcTransfers];
     return dest_va;
 }
 
@@ -594,7 +588,7 @@ Kernel::ipcTransferPage(TaskId from, VirtAddr src_va, TaskId to)
     const VirtAddr dest_va = receiver.as->allocateVa(1, colour);
     receiver.as->createRegion(dest_va, 1, r.prot, r.maxProt, r.object,
                               r.objectPageOffset, false);
-    ++statIpcTransfers;
+    ++counters[KernelStat::IpcTransfers];
     return dest_va;
 }
 
@@ -621,7 +615,7 @@ Kernel::ipcTransferRegion(TaskId from, VirtAddr src_start, TaskId to)
     const VirtAddr dest_va = receiver.as->allocateVa(r.numPages, colour);
     receiver.as->createRegion(dest_va, r.numPages, r.prot, r.maxProt,
                               r.object, r.objectPageOffset, false);
-    statIpcTransfers += r.numPages;
+    counters[KernelStat::IpcTransfers] += r.numPages;
     return dest_va;
 }
 
@@ -641,7 +635,7 @@ Kernel::handleFault(const Fault &fault)
     if (fault.type == FaultType::Protection) {
         if (pmapImpl->resolveConsistencyFault(fault.address,
                                               fault.access)) {
-            ++statConsistencyFaults;
+            ++counters[KernelStat::ConsistencyFaults];
             return true;
         }
         // Genuine VM-level denial: copy-on-write?
@@ -674,7 +668,7 @@ Kernel::faultInPage(Region &region, std::uint32_t page_idx,
         mach.disk().readBlock(*swap_block, mach.frameAddr(frame));
         pageoutDaemon->freeSwapBlock(*swap_block);
         region.object->clearSwapBlock(obj_page);
-        ++statPageins;
+        ++counters[KernelStat::Pageins];
     } else if (region.object->backing() == VmObject::Backing::Zero) {
         frame = allocFrame(pmapImpl->dColourOf(page_va));
         pagePreparer->zeroPage(frame, page_va);
@@ -688,7 +682,7 @@ Kernel::faultInPage(Region &region, std::uint32_t page_idx,
         frame = allocFrame(pmapImpl->dColourOf(page_va));
         pagePreparer->copyPage(frame, buf.frame, page_va);
         if (access == AccessType::IFetch)
-            ++statDToICopies;
+            ++counters[KernelStat::DToICopies];
     }
     region.object->setFrame(obj_page, frame);
     pageoutDaemon->registerPageable(region.object, obj_page, frame);
@@ -714,9 +708,9 @@ Kernel::resolveMappingFault(const Fault &fault)
     // was dropped for consistency reasons are consistency overhead
     // (Section 5.1's distinction).
     if (as.claimFirstAccess(pv))
-        ++statMappingFaults;
+        ++counters[KernelStat::MappingFaults];
     else
-        ++statConsistencyFaults;
+        ++counters[KernelStat::ConsistencyFaults];
 
     const std::uint32_t idx = r->pageIndexOf(pv, mach.pageBytes());
     const bool has_private = r->privatePages[idx].has_value();
@@ -747,7 +741,7 @@ Kernel::resolveCowFault(const Fault &fault, AddressSpace &as,
                         Region &region)
 {
     (void)as;
-    ++statCowFaults;
+    ++counters[KernelStat::CowFaults];
     const VirtAddr pv = mach.pageTable().pageBase(fault.address.va);
     const std::uint32_t idx = region.pageIndexOf(pv, mach.pageBytes());
     vic_assert(!region.privatePages[idx],

@@ -50,6 +50,27 @@ namespace vic
 
 using TaskId = std::uint32_t;
 
+/** Kernel's counters (common/stats.hh). */
+enum class KernelStat
+{
+    MappingFaults,
+    ConsistencyFaults,
+    CowFaults,
+    DToICopies,
+    IpcTransfers,
+    Syscalls,
+    Pageins,
+    Count
+};
+inline constexpr CounterTable<KernelStat> kKernelCounters{
+    "os.mapping_faults",
+    "os.consistency_faults",
+    "os.cow_faults",
+    "os.d_to_i_copies",
+    "os.ipc_transfers",
+    "os.syscalls",
+    "os.pageins"};
+
 class Kernel
 {
   public:
@@ -242,13 +263,7 @@ class Kernel
 
     std::uint32_t syscallStamp = 1;
 
-    Counter &statMappingFaults;
-    Counter &statConsistencyFaults;
-    Counter &statCowFaults;
-    Counter &statDToICopies;
-    Counter &statIpcTransfers;
-    Counter &statSyscalls;
-    Counter &statPageins;
+    Counters<kKernelCounters> counters;
 
     Task &getTask(TaskId task);
     AddressSpace &spaceFor(SpaceId space);

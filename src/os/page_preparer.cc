@@ -25,8 +25,7 @@ class SpaceGuard
 
 PagePreparer::PagePreparer(Cpu &c, Pmap &p, const OsParams &os_params)
     : cpu(c), pmap(p), params(os_params),
-      statZeroed(c.machine().stats().counter("os.pages_zeroed")),
-      statCopied(c.machine().stats().counter("os.pages_copied"))
+      counters(c.machine().stats().registerTable<kPreparerCounters>())
 {
 }
 
@@ -60,7 +59,7 @@ PagePreparer::srcWindow(FrameId src) const
 void
 PagePreparer::zeroPage(FrameId frame, std::optional<VirtAddr> ultimate_va)
 {
-    ++statZeroed;
+    ++counters[PreparerStat::Zeroed];
     const std::uint32_t page_bytes = cpu.machine().pageBytes();
     const VirtAddr kva = destWindow(ultimate_va);
 
@@ -79,7 +78,7 @@ PagePreparer::copyPage(FrameId dest, FrameId src,
                        std::optional<VirtAddr> ultimate_va)
 {
     vic_assert(dest != src, "copyPage onto itself");
-    ++statCopied;
+    ++counters[PreparerStat::Copied];
     const std::uint32_t page_bytes = cpu.machine().pageBytes();
     const VirtAddr dst_kva = destWindow(ultimate_va);
     const VirtAddr src_kva = srcWindow(src);

@@ -32,6 +32,12 @@
 namespace vic
 {
 
+/** PagePreparer's counters (common/stats.hh). */
+enum class PreparerStat { Zeroed, Copied, Count };
+inline constexpr CounterTable<PreparerStat> kPreparerCounters{
+    "os.pages_zeroed",
+    "os.pages_copied"};
+
 class PagePreparer
 {
   public:
@@ -50,8 +56,7 @@ class PagePreparer
     Pmap &pmap;
     OsParams params;
 
-    Counter &statZeroed;
-    Counter &statCopied;
+    Counters<kPreparerCounters> counters;
 
     /** Kernel window for the destination page. */
     VirtAddr destWindow(std::optional<VirtAddr> ultimate_va) const;

@@ -8,9 +8,7 @@ namespace vic
 
 PageoutDaemon::PageoutDaemon(Kernel &k)
     : kernel(k),
-      statPageouts(k.machine().stats().counter("os.pageouts")),
-      statTextDrops(k.machine().stats().counter("os.text_drops")),
-      statSwapWrites(k.machine().stats().counter("os.swap_writes"))
+      counters(k.machine().stats().registerTable<kPageoutCounters>())
 {
 }
 
@@ -82,7 +80,7 @@ PageoutDaemon::pageOut(const Candidate &c)
     if (obj->backing() == VmObject::Backing::File) {
         // Text and mapped-file pages are clean copies of file data:
         // drop them; a refault re-copies from the buffer cache.
-        ++statTextDrops;
+        ++counters[PageoutStat::TextDrops];
     } else {
         // Anonymous page: write to swap. The DMA-read consistency
         // step flushes whatever dirty cache data the page still has
@@ -92,12 +90,12 @@ PageoutDaemon::pageOut(const Candidate &c)
         pmap.dmaRead(c.frame, true);
         m.disk().writeBlock(block, m.frameAddr(c.frame));
         obj->setSwapBlock(c.page, block);
-        ++statSwapWrites;
+        ++counters[PageoutStat::SwapWrites];
     }
 
     obj->clearFrame(c.page);
     kernel.freeFrame(c.frame);
-    ++statPageouts;
+    ++counters[PageoutStat::Pageouts];
     VIC_EVLOG(m.events(),
               format("pageout frame=%llu (%s)",
                      (unsigned long long)c.frame,

@@ -35,6 +35,13 @@ namespace vic
 
 class Kernel;
 
+/** PageoutDaemon's counters (common/stats.hh). */
+enum class PageoutStat { Pageouts, TextDrops, SwapWrites, Count };
+inline constexpr CounterTable<PageoutStat> kPageoutCounters{
+    "os.pageouts",
+    "os.text_drops",
+    "os.swap_writes"};
+
 class PageoutDaemon
 {
   public:
@@ -86,9 +93,7 @@ class PageoutDaemon
     std::uint64_t nextSwap = swapBlockBase;
     bool reclaiming = false;
 
-    Counter &statPageouts;
-    Counter &statTextDrops;
-    Counter &statSwapWrites;
+    Counters<kPageoutCounters> counters;
 
     /** Try to evict one candidate. @return true iff a frame was
      *  freed. */

@@ -9,8 +9,7 @@ Tlb::Tlb(std::uint32_t num_entries, Cycles miss_penalty, PageTable &table,
          CycleClock &clock, StatSet &stat_set)
     : capacity(num_entries), missPenalty(miss_penalty), pageTable(table),
       clk(clock), entries(num_entries),
-      statHits(stat_set.counter("tlb.hits")),
-      statMisses(stat_set.counter("tlb.misses"))
+      counters(stat_set.registerTable<kTlbCounters>())
 {
     vic_assert(num_entries > 0, "TLB needs at least one entry");
     slotIndex.reserve(num_entries * 2);
@@ -23,7 +22,7 @@ Tlb::translateFull(SpaceVa page)
     if (it != slotIndex.end()) {
         Entry &e = entries[it->second];
         e.lastUse = ++useTick;
-        ++statHits;
+        ++counters[TlbStat::Hits];
         mru = &e;
         return e.pte;
     }
@@ -32,7 +31,7 @@ Tlb::translateFull(SpaceVa page)
     if (!pte)
         return nullptr;
 
-    ++statMisses;
+    ++counters[TlbStat::Misses];
     clk.advance(missPenalty);
 
     Entry *victim = nullptr;

@@ -46,6 +46,12 @@
 namespace vic
 {
 
+/** Tlb's counters (common/stats.hh). */
+enum class TlbStat { Hits, Misses, Count };
+inline constexpr CounterTable<TlbStat> kTlbCounters{
+    "tlb.hits",
+    "tlb.misses"};
+
 class Tlb
 {
   public:
@@ -73,7 +79,7 @@ class Tlb
         Entry *e = mru;
         if (e != nullptr && e->valid && e->page == page) {
             e->lastUse = ++useTick;
-            ++statHits;
+            ++counters[TlbStat::Hits];
             return e->pte;
         }
         return translateFull(page);
@@ -112,7 +118,7 @@ class Tlb
         Entry &e = entries[r.slot];
         useTick += n;
         e.lastUse = useTick;
-        statHits += n;
+        counters[TlbStat::Hits] += n;
         mru = &e;
     }
 
@@ -129,7 +135,7 @@ class Tlb
         useTick += 2 * std::uint64_t(n);
         entries[first.slot].lastUse = useTick - 1;
         entries[second.slot].lastUse = useTick;
-        statHits += 2 * std::uint64_t(n);
+        counters[TlbStat::Hits] += 2 * std::uint64_t(n);
         mru = &entries[second.slot];
     }
 
@@ -170,8 +176,7 @@ class Tlb
      *  Lookup-only (never iterated), so determinism is unaffected. */
     std::unordered_map<SpaceVa, std::uint32_t> slotIndex;
 
-    Counter &statHits;
-    Counter &statMisses;
+    Counters<kTlbCounters> counters;
 
     /** Hit-via-index and miss/refill paths (out of line). */
     PageTableEntry *translateFull(SpaceVa page);

@@ -164,7 +164,7 @@ struct IssuedOp
     bool present = false;
     bool dirty = false;
     /** Stable label of the policy call site that issued the op (finer
-     *  than the simulator's stats `reason` strings; see
+     *  than the simulator's PageOpReason values; see
      *  docs/VERIFICATION.md for the mapping to shipping code). */
     const char *site = "?";
 

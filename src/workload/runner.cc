@@ -76,9 +76,10 @@ runWorkload(Workload &workload, const PolicyConfig &policy,
     // Kernel-held statistics that do not live in the machine's
     // StatSet are exported into it before the snapshot so every
     // metric a bench reads comes from the same capture point.
-    machine.stats().counter("os.freelist.colour_hits") +=
-        kernel.freeList().colourHits();
-    machine.stats().counter("os.freelist.colour_misses") +=
+    const Counters<kFreelistCounters> freelist =
+        machine.stats().registerTable<kFreelistCounters>();
+    freelist[FreelistStat::ColourHits] += kernel.freeList().colourHits();
+    freelist[FreelistStat::ColourMisses] +=
         kernel.freeList().colourMisses();
 
     RunResult r;

@@ -21,6 +21,12 @@
 namespace vic
 {
 
+/** The free list's colour statistics, which the kernel keeps outside
+ *  the StatSet; runWorkload() exports them after the run. */
+enum class FreelistStat { ColourHits, ColourMisses, Count };
+inline constexpr CounterTable<FreelistStat> kFreelistCounters{
+    "os.freelist.colour_hits", "os.freelist.colour_misses"};
+
 /** Everything measured from one workload execution. */
 struct RunResult
 {

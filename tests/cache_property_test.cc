@@ -38,6 +38,16 @@ struct Geometry
     bool uniformOpCost = false;
 };
 
+/** One "name value" line per counter, for failure messages. */
+std::string
+renderStats(const StatSnapshot &snap)
+{
+    std::string out;
+    for (const auto &[name, value] : snap)
+        out += name + " " + std::to_string(value) + "\n";
+    return out;
+}
+
 CacheCosts
 costsFor(const Geometry &g)
 {
@@ -564,7 +574,8 @@ class Differential
         if (statsA.snapshot() != statsB.snapshot())
             return ::testing::AssertionFailure()
                    << "op " << op << ": counters differ\n"
-                   << statsA.render() << "reference:\n" << statsB.render();
+                   << renderStats(statsA.snapshot()) << "reference:\n"
+                   << renderStats(statsB.snapshot());
         for (std::uint64_t a = 0; a < frames * pageBytes; a += 4) {
             if (memA.readWord(PhysAddr(a)) != memB.readWord(PhysAddr(a)))
                 return ::testing::AssertionFailure()

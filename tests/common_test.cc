@@ -10,6 +10,7 @@
 
 #include "common/bitvector.hh"
 #include "common/event_log.hh"
+#include "common/json_writer.hh"
 #include "common/logging.hh"
 #include "common/random.hh"
 #include "common/stats.hh"
@@ -200,7 +201,7 @@ TEST(StatsTest, IncrementOperators)
     EXPECT_EQ(s.value("c"), 7u);
 }
 
-TEST(StatsTest, SnapshotAndClear)
+TEST(StatsTest, SnapshotCapturesValues)
 {
     StatSet s;
     s.counter("a") += 3;
@@ -208,8 +209,107 @@ TEST(StatsTest, SnapshotAndClear)
     auto snap = s.snapshot();
     EXPECT_EQ(snap.at("a"), 3u);
     EXPECT_EQ(snap.at("b"), 4u);
-    s.clearAll();
-    EXPECT_EQ(s.value("a"), 0u);
+}
+
+enum class ProbeStat { Hits, Misses, Count };
+constexpr CounterTable<ProbeStat> kProbeCounters{"probe.hits",
+                                                 "probe.misses"};
+
+enum class OtherStat { Hits, Count };
+constexpr CounterTable<OtherStat> kOtherCounters{"probe.hits"};
+
+// The checks every registration runs at compile time.
+constexpr CounterTable<ProbeStat> kCapitalised{"Probe.Hits",
+                                               "probe.misses"};
+constexpr CounterTable<ProbeStat> kShort{"probe.hits"};
+constexpr CounterTable<ProbeStat> kTwice{"probe.hits", "probe.hits"};
+static_assert(kProbeCounters.namesValid() &&
+              kProbeCounters.namesDistinct());
+static_assert(!kCapitalised.namesValid());
+static_assert(!kShort.namesValid());
+static_assert(!kTwice.namesDistinct());
+static_assert(validCounterName("dcache0.write_backs"));
+static_assert(!validCounterName("") && !validCounterName("a-b") &&
+              !validCounterName("a b"));
+
+TEST(StatsTest, TableRowsAreBumpedByEnum)
+{
+    StatSet s;
+    const Counters<kProbeCounters> c = s.registerTable<kProbeCounters>();
+    ++c[ProbeStat::Hits];
+    c[ProbeStat::Misses] += 5;
+    EXPECT_EQ(s.value("probe.hits"), 1u);
+    EXPECT_EQ(s.value("probe.misses"), 5u);
+    const Counters<kProbeCounters> d0 =
+        s.registerTable<kProbeCounters>("d0.");
+    ++d0[ProbeStat::Hits];
+    EXPECT_EQ(s.value("d0.probe.hits"), 1u);
+    EXPECT_EQ(s.value("probe.hits"), 1u);
+    EXPECT_FALSE(Counters<kProbeCounters>().registered());
+    EXPECT_TRUE(d0.registered());
+}
+
+TEST(StatsTest, SameTableAndPrefixShareRows)
+{
+    // Per-CPU instances of one component (each CPU's TLB) register
+    // the same table and count into the same rows.
+    StatSet s;
+    const auto a = s.registerTable<kProbeCounters>();
+    const auto b = s.registerTable<kProbeCounters>();
+    EXPECT_EQ(&a[ProbeStat::Misses], &b[ProbeStat::Misses]);
+    Counter &row = s.registerRow<kProbeCounters>("x.", ProbeStat::Misses);
+    EXPECT_EQ(&row, &s.registerRow<kProbeCounters>("x.", ProbeStat::Misses));
+    ++row;
+    const StatSnapshot snap = s.snapshot();
+    EXPECT_EQ(snap.at("x.probe.misses"), 1u);
+    EXPECT_EQ(snap.find("x.probe.hits"), snap.end());
+}
+
+TEST(StatsDeathTest, ByNamePathRejectsMalformedNames)
+{
+    StatSet s;
+    EXPECT_DEATH(s.counter("Tlb.Hits"), "not lower-case");
+    EXPECT_DEATH(s.counter(""), "not lower-case");
+    EXPECT_DEATH(s.registerTable<kProbeCounters>("Dcache."),
+                 "not lower-case");
+}
+
+TEST(StatsDeathTest, NameOwnedByAnotherTablePanics)
+{
+    StatSet s;
+    s.registerTable<kProbeCounters>();
+    EXPECT_DEATH(s.registerTable<kOtherCounters>(),
+                 "probe.hits is already registered by another table");
+    EXPECT_DEATH(s.counter("probe.hits"), "owned by a table");
+    s.counter("by_name");
+    StatSet t;
+    t.counter("probe.hits");
+    EXPECT_DEATH(t.registerTable<kProbeCounters>(),
+                 "already registered");
+}
+
+TEST(JsonParse, UnicodeEscapesDecodeToUtf8)
+{
+    EXPECT_EQ(JsonValue::parse("\"\\u20ac\"").asString(), "\xe2\x82\xac");
+    EXPECT_EQ(JsonValue::parse("\"\\u07ff\"").asString(), "\xdf\xbf");
+    EXPECT_EQ(JsonValue::parse("\"\\uffff\"").asString(),
+              "\xef\xbf\xbf");
+    EXPECT_EQ(JsonValue::parse("\"\\ud83d\\ude00\"").asString(),
+              "\xf0\x9f\x98\x80");
+    EXPECT_EQ(JsonValue::parse("\"\\udbff\\udfff\"").asString(),
+              "\xf4\x8f\xbf\xbf");
+    for (const char *bad :
+         {"\"\\ud800\"", "\"\\udc00\"", "\"\\ud800x\"",
+          "\"\\ud800\\u0041\"", "\"\\ud800\\ud800\"", "\"\\ud83d\\\""}) {
+        try {
+            JsonValue::parse(bad);
+            ADD_FAILURE() << bad;
+        } catch (const std::runtime_error &e) {
+            EXPECT_NE(std::string(e.what()).find("bad \\u escape"),
+                      std::string::npos)
+                << bad << ": " << e.what();
+        }
+    }
 }
 
 TEST(StatsTest, SnapshotStaysSortedAndUnique)
@@ -240,37 +340,6 @@ TEST(ZeroedArrayTest, StartsZeroAndClears)
     EXPECT_EQ(std::count(a.begin(), a.end(), 0u), 100000);
     ZeroedArray<std::uint16_t> empty(0);
     EXPECT_EQ(empty.begin(), empty.end());
-}
-
-TEST(StatsTest, AllPreservesCreationOrder)
-{
-    StatSet s;
-    s.counter("z");
-    s.counter("a");
-    auto all = s.all();
-    ASSERT_EQ(all.size(), 2u);
-    EXPECT_EQ(all[0]->name(), "z");
-    EXPECT_EQ(all[1]->name(), "a");
-}
-
-TEST(StatsTest, RenderFiltersAndSorts)
-{
-    StatSet s;
-    s.counter("pmap.z") += 2;
-    s.counter("pmap.a") += 1;
-    s.counter("os.x") += 3;
-    s.counter("pmap.zero");  // stays 0
-
-    std::string all = s.render();
-    EXPECT_NE(all.find("os.x"), std::string::npos);
-    EXPECT_EQ(all.find("pmap.zero"), std::string::npos);
-
-    std::string pm = s.render("pmap.");
-    EXPECT_EQ(pm.find("os.x"), std::string::npos);
-    EXPECT_LT(pm.find("pmap.a"), pm.find("pmap.z"));
-
-    std::string zeros = s.render("pmap.", true);
-    EXPECT_NE(zeros.find("pmap.zero"), std::string::npos);
 }
 
 TEST(TableTest, RendersAlignedColumns)

@@ -95,30 +95,6 @@ TEST(LintFixtures, AddrKindMixedAndRewrap)
     EXPECT_EQ(r.diagnostics.size(), 2u);
 }
 
-TEST(LintFixtures, CounterLivenessDeadAndOrphan)
-{
-    const LintReport r =
-        runLint(fixtureRoot("liveness"), {"counter-liveness"});
-    const std::string f = "src/machine/machine.cc";
-    // statGhost is registered on the construction path but never
-    // bumped (line 21 is its registration).
-    EXPECT_TRUE(hasDiag(r, "counter-live-dead", f, 21));
-    // statOrphan is bumped (line 28) but bound to no registration.
-    EXPECT_TRUE(hasDiag(r, "counter-live-unregistered", f, 28));
-    // statHits is registered AND bumped: exactly the two findings.
-    EXPECT_EQ(r.diagnostics.size(), 2u);
-}
-
-TEST(LintFixtures, CounterCatchesNameDuplicateAndEagerBus)
-{
-    const LintReport r = runLint(fixtureRoot("counter"), {"counter"});
-    const std::string f = "src/os/bad_counter.cc";
-    EXPECT_TRUE(hasDiag(r, "counter-name", f, 13));
-    EXPECT_TRUE(hasDiag(r, "counter-duplicate", f, 14));
-    EXPECT_TRUE(hasDiag(r, "counter-bus-eager", f, 15));
-    EXPECT_EQ(r.diagnostics.size(), 3u);
-}
-
 TEST(LintFixtures, LayeringCatchesUpwardInclude)
 {
     const LintReport r =
@@ -160,7 +136,7 @@ TEST(LintCleanTree, ZeroDiagnosticsAllPasses)
 {
     const LintReport r = runLint(VIC_LINT_SOURCE_ROOT, {});
     ASSERT_GT(r.filesScanned, 100u);  // sanity: found the real tree
-    EXPECT_EQ(r.passesRun.size(), 5u);
+    EXPECT_EQ(r.passesRun.size(), 3u);
     for (const Diagnostic &d : r.diagnostics)
         ADD_FAILURE() << d.render();
     // Every inline suppression carries a reason and silences a real
@@ -175,10 +151,10 @@ TEST(LintCleanTree, ZeroDiagnosticsAllPasses)
     ASSERT_EQ(r.suppressions.size(), 1u);
     EXPECT_EQ(r.suppressions[0].rule, "addr-kind-mixed");
     EXPECT_EQ(r.suppressions[0].file, "src/cache/cache_geometry.hh");
-    // The interprocedural passes did real whole-program work.
+    // The interprocedural pass did real whole-program work.
     bool saw_fixpoint = false;
     for (const PassRunStats &p : r.passStats) {
-        if (p.pass == "addr-kind" || p.pass == "counter-liveness") {
+        if (p.pass == "addr-kind") {
             EXPECT_GT(p.stats.functionsAnalyzed, 100u) << p.pass;
             EXPECT_GT(p.stats.fixpointIterations, 0u) << p.pass;
             saw_fixpoint = true;

@@ -473,8 +473,8 @@ TEST(MesiConformance, LocalTableMatchesHardware)
                     << mesiLocalEventName(e)
                     << (peer ? " (peer copy)" : "");
 
-                // The bus transaction column, via the lazy bus.*
-                // counters the counter pass keeps honest.
+                // The bus transaction column, via the bus.* rows of
+                // CoherenceBus's counter table.
                 const std::uint64_t d_reads =
                     rig.stat("bus.reads") - reads;
                 const std::uint64_t d_rdx =

@@ -21,7 +21,9 @@
  * names and run ids (a suite is swept when its name matches, or run
  * by run when individual ids match). Exit status: 0 when every
  * selected run completed without oracle violations and every
- * non-advisory shape check passed.
+ * non-advisory shape check passed. --diff exits 0 when the artifacts
+ * are equivalent, 1 when they differ and 2 when either cannot be
+ * read or parsed.
  *
  * --shards N fans the replicas INSIDE each multi-replica run (the
  * fleet suite) out across N host threads; results merge
@@ -142,10 +144,17 @@ diffArtifacts(const std::string &path_a, const std::string &path_b)
         return 2;
     }
     std::string why;
-    if (artifactsEquivalent(a, b, &why)) {
-        std::printf("equivalent (modulo wall-clock): %s == %s\n",
-                    path_a.c_str(), path_b.c_str());
-        return 0;
+    try {
+        if (artifactsEquivalent(a, b, &why)) {
+            std::printf("equivalent (modulo wall-clock): %s == %s\n",
+                        path_a.c_str(), path_b.c_str());
+            return 0;
+        }
+    } catch (const std::runtime_error &e) {
+        // A broken artifact is an input error, not a difference.
+        std::fprintf(stderr, "cannot compare %s and %s: %s\n",
+                     path_a.c_str(), path_b.c_str(), e.what());
+        return 2;
     }
     std::printf("DIFFER: %s\n", why.c_str());
     return 1;
