@@ -54,12 +54,10 @@
 #      tests + the shard runner tests + the smoke sweep + the model
 #      checker's exploreMany + the CoherenceBus head-to-head paths +
 #      a sharded fleet sweep) rebuilt and rerun under TSan;
-#   9. static analysis: tools/vic_lint runs all three invariant
-#      passes (determinism, address-kind laundering, layering — see
-#      docs/STATIC_ANALYSIS.md) over the tree, gating on zero
-#      diagnostics, and archives LINT_report.json (schema v2, with
-#      per-pass fixpoint stats) plus LINT_report.sarif for CI
-#      annotators;
+#   9. static analysis: tools/vic_lint runs both invariant passes
+#      (determinism, layering — see docs/STATIC_ANALYSIS.md) over the
+#      tree, gating on zero diagnostics, and archives LINT_report.json
+#      (schema v3) plus LINT_report.sarif for CI annotators;
 #  10. style lint: clang-format / clang-tidy, gating when installed
 #      and skipped with a notice otherwise (they are configs-first:
 #      the repo must stay clean under gcc -Werror regardless).

@@ -54,9 +54,8 @@ main()
         task, object, Protection::readWrite(),
         kernel.addressSpace(task).allocateVa(1, c2));
 
-    std::printf("alias: va1=%#llx (colour %u), va2=%#llx (colour %u)\n",
-                (unsigned long long)va1.value, c1,
-                (unsigned long long)va2.value,
+    std::printf("alias: va1=0x%s (colour %u), va2=0x%s (colour %u)\n",
+                hex(va1).c_str(), c1, hex(va2).c_str(),
                 kernel.pmap().dColourOf(va2));
 
     // 5. Write through one alias, read through the other. The write

@@ -37,8 +37,7 @@ main()
     // The code buffer: writable AND executable (maxProt rwx).
     auto code_obj = std::make_shared<VmObject>(VmObject::anonymous(1));
     VirtAddr code = kernel.vmMapShared(jit, code_obj, Protection::all());
-    std::printf("code buffer at %#llx\n",
-                (unsigned long long)code.value);
+    std::printf("code buffer at 0x%s\n", hex(code).c_str());
 
     auto flushes = [&] {
         return machine.stats().value("pmap.d_flush.ifetch");

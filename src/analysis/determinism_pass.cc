@@ -116,8 +116,7 @@ class DeterminismPass : public Pass
         };
     }
 
-    void run(const PassContext &ctx, Sink &sink,
-             PassStats &) const override
+    void run(const PassContext &ctx, Sink &sink) const override
     {
         for (const SourceFile &f : ctx.files) {
             scanBans(f, sink);

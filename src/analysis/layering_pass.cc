@@ -39,7 +39,6 @@
 
 #include <map>
 
-#include "analysis/cpp_scan.hh"
 #include "analysis/pass.hh"
 
 #include "common/logging.hh"
@@ -92,8 +91,7 @@ class LayeringPass : public Pass
         };
     }
 
-    void run(const PassContext &ctx, Sink &sink,
-             PassStats &) const override
+    void run(const PassContext &ctx, Sink &sink) const override
     {
         for (const SourceFile &f : ctx.files) {
             if (f.path.rfind("src/", 0) != 0)

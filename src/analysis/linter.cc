@@ -2,8 +2,6 @@
 
 #include <stdexcept>
 
-#include "analysis/callgraph.hh"
-
 #include "common/logging.hh"
 
 namespace vic::analysis
@@ -14,7 +12,6 @@ makeAllPasses()
 {
     std::vector<std::unique_ptr<Pass>> passes;
     passes.push_back(makeDeterminismPass());
-    passes.push_back(makeAddrKindPass());
     passes.push_back(makeLayeringPass());
     return passes;
 }
@@ -23,7 +20,7 @@ JsonValue
 LintReport::toJson() const
 {
     JsonValue doc = JsonValue::object();
-    doc.set("schema", JsonValue::str("vic-lint-report-v2"));
+    doc.set("schema", JsonValue::str("vic-lint-report-v3"));
     doc.set("root", JsonValue::str(root));
 
     JsonValue passes = JsonValue::array();
@@ -34,20 +31,6 @@ LintReport::toJson() const
     doc.set("files_scanned",
             JsonValue::number(std::uint64_t(filesScanned)));
     doc.set("clean", JsonValue::boolean(clean()));
-
-    JsonValue pstats = JsonValue::array();
-    for (const PassRunStats &p : passStats) {
-        JsonValue j = JsonValue::object();
-        j.set("pass", JsonValue::str(p.pass));
-        j.set("functions_analyzed",
-              JsonValue::number(p.stats.functionsAnalyzed));
-        j.set("summaries_computed",
-              JsonValue::number(p.stats.summariesComputed));
-        j.set("fixpoint_iterations",
-              JsonValue::number(p.stats.fixpointIterations));
-        pstats.push(std::move(j));
-    }
-    doc.set("pass_stats", std::move(pstats));
 
     JsonValue diags = JsonValue::array();
     for (const Diagnostic &d : diagnostics) {
@@ -80,7 +63,7 @@ LintReport::fromJson(const JsonValue &doc)
 {
     const JsonValue *schema = doc.find("schema");
     if (schema == nullptr ||
-        schema->asString() != "vic-lint-report-v2")
+        schema->asString() != "vic-lint-report-v3")
         throw std::runtime_error("not a vic-lint report");
 
     LintReport r;
@@ -117,19 +100,6 @@ LintReport::fromJson(const JsonValue &doc)
             r.suppressions.push_back(std::move(s));
         }
     }
-    if (const JsonValue *v = doc.find("pass_stats")) {
-        for (const JsonValue &j : v->items()) {
-            PassRunStats p;
-            p.pass = j.find("pass")->asString();
-            p.stats.functionsAnalyzed =
-                j.find("functions_analyzed")->asU64();
-            p.stats.summariesComputed =
-                j.find("summaries_computed")->asU64();
-            p.stats.fixpointIterations =
-                j.find("fixpoint_iterations")->asU64();
-            r.passStats.push_back(std::move(p));
-        }
-    }
     return r;
 }
 
@@ -154,10 +124,7 @@ runLintOnFiles(const std::string &root, std::vector<SourceFile> files,
     Sink sink;
     sink.collectSuppressions(files);
 
-    // One call graph for every interprocedural pass in the run.
-    const CallGraph graph = CallGraph::build(files);
-    PassContext ctx{report.root, files};
-    ctx.graph = &graph;
+    const PassContext ctx{report.root, files};
 
     std::vector<std::string> active_rules;
     for (const auto &pass : makeAllPasses()) {
@@ -171,9 +138,7 @@ runLintOnFiles(const std::string &root, std::vector<SourceFile> files,
             active_rules.push_back(r.id);
             report.activeRules.push_back({r.id, r.summary});
         }
-        PassStats stats;
-        pass->run(ctx, sink, stats);
-        report.passStats.push_back({pass->name(), stats});
+        pass->run(ctx, sink);
     }
     report.activeRules.push_back(
         {kRuleSuppressUndocumented,

@@ -4,12 +4,12 @@
  * passes, apply suppressions, render the report.
  *
  * One Linter run is one LintReport — the in-memory form of the
- * LINT_report.json artifact (schema "vic-lint-report-v2"). The JSON
+ * LINT_report.json artifact (schema "vic-lint-report-v3"). The JSON
  * is built with the repo's insertion-ordered JsonValue, so a report
  * is byte-identical across runs on the same tree, like every other
- * vic artifact. v2 adds per-pass effort counters ("pass_stats") from
- * the interprocedural engine: functions analyzed, summaries
- * computed, fixpoint iterations.
+ * vic artifact. v3 drops v2's per-pass effort counters
+ * ("pass_stats"), which only the retired interprocedural pass
+ * filled.
  */
 
 #ifndef VIC_ANALYSIS_LINTER_HH
@@ -24,13 +24,6 @@
 
 namespace vic::analysis
 {
-
-/** One pass's effort counters, as recorded in "pass_stats". */
-struct PassRunStats
-{
-    std::string pass;
-    PassStats stats;
-};
 
 /** One active rule (id + summary), kept for the SARIF driver. */
 struct ActiveRule
@@ -47,18 +40,16 @@ struct LintReport
     std::vector<Diagnostic> diagnostics;
     /** Every allow() marker found, used or not. */
     std::vector<Suppression> suppressions;
-    /** Per-pass effort counters, in run order (v2). */
-    std::vector<PassRunStats> passStats;
     /** Rules of the selected passes plus the suppression-hygiene
      *  rules, in registration order. */
     std::vector<ActiveRule> activeRules;
 
     bool clean() const { return diagnostics.empty(); }
 
-    /** The "vic-lint-report-v2" document. */
+    /** The "vic-lint-report-v3" document. */
     JsonValue toJson() const;
 
-    /** Read back a v2 document. Throws std::runtime_error on any
+    /** Read back a v3 document. Throws std::runtime_error on any
      *  other schema. */
     static LintReport fromJson(const JsonValue &doc);
 

@@ -11,7 +11,6 @@
 #ifndef VIC_ANALYSIS_PASS_HH
 #define VIC_ANALYSIS_PASS_HH
 
-#include <cstdint>
 #include <memory>
 #include <string>
 #include <vector>
@@ -22,31 +21,16 @@
 namespace vic::analysis
 {
 
-class CallGraph;
-
 struct RuleInfo
 {
     const char *id;
     const char *summary;
 };
 
-/** Wall-independent effort counters one pass reports into the v2
- *  report ("pass_stats"); zero for the purely per-file passes. */
-struct PassStats
-{
-    std::uint64_t functionsAnalyzed = 0;
-    std::uint64_t summariesComputed = 0;
-    std::uint64_t fixpointIterations = 0;
-};
-
 struct PassContext
 {
     std::string root;
     const std::vector<SourceFile> &files;
-    /** Whole-program call graph, built once per lint run; the
-     *  interprocedural passes fall back to building their own when a
-     *  bespoke context (tests) leaves it null. */
-    const CallGraph *graph = nullptr;
 };
 
 class Pass
@@ -56,13 +40,11 @@ class Pass
     virtual const char *name() const = 0;
     virtual const char *summary() const = 0;
     virtual std::vector<RuleInfo> rules() const = 0;
-    virtual void run(const PassContext &ctx, Sink &sink,
-                     PassStats &stats) const = 0;
+    virtual void run(const PassContext &ctx, Sink &sink) const = 0;
 };
 
 // Factories, one per pass (definitions live with each pass).
 std::unique_ptr<Pass> makeDeterminismPass();
-std::unique_ptr<Pass> makeAddrKindPass();
 std::unique_ptr<Pass> makeLayeringPass();
 
 /** All passes in their canonical run order. */

@@ -101,7 +101,7 @@ Cache::fill(std::uint32_t line_id, PhysAddr pa, bool for_write)
     // The caller has written a dirty victim back; un-count it.
     if (lineValid(line_id))
         dropLine(line_id);
-    PhysAddr base(geo.lineBase(pa.value));
+    const PhysAddr base = geo.lineBase(pa);
     // Coherence actions first, so peer (and synonym) write-backs land
     // in memory before this fill reads it.
     bool shared = false;
@@ -116,7 +116,7 @@ Cache::fill(std::uint32_t line_id, PhysAddr pa, bool for_write)
     mem.readWords(base, lineData(line_id), geo.wordsPerLine());
     lineState[line_id] =
         shared ? MesiState::Shared : MesiState::Exclusive;
-    lineTag[line_id] = pa.value / geo.lineBytes();
+    lineTag[line_id] = pa.lineNumber(geo.lineBytes());
     ++copies[lineTag[line_id]];
     ++counters[CacheStat::Fills];
     clk.advance(costs.missPenalty);
@@ -125,7 +125,7 @@ Cache::fill(std::uint32_t line_id, PhysAddr pa, bool for_write)
 std::uint32_t
 Cache::read(VirtAddr va, PhysAddr pa)
 {
-    vic_assert(va.value % 4 == 0 && pa.value % 4 == 0,
+    vic_assert(va.isAligned(4) && pa.isAligned(4),
                "unaligned cache access");
     ++counters[CacheStat::Reads];
     const std::uint32_t set = geo.setIndex(indexBits(va, pa));
@@ -144,15 +144,13 @@ Cache::read(VirtAddr va, PhysAddr pa)
     }
     const std::uint32_t id = lineId(set, static_cast<std::uint32_t>(way));
     lineUse[id] = ++useTick;
-    const std::uint32_t word_in_line =
-        static_cast<std::uint32_t>((pa.value / 4) % geo.wordsPerLine());
-    return lineData(id)[word_in_line];
+    return lineData(id)[wordInLine(pa)];
 }
 
 void
 Cache::write(VirtAddr va, PhysAddr pa, std::uint32_t value)
 {
-    vic_assert(va.value % 4 == 0 && pa.value % 4 == 0,
+    vic_assert(va.isAligned(4) && pa.isAligned(4),
                "unaligned cache access");
     ++counters[CacheStat::Writes];
     const std::uint32_t set = geo.setIndex(indexBits(va, pa));
@@ -170,10 +168,7 @@ Cache::write(VirtAddr va, PhysAddr pa, std::uint32_t value)
         const std::uint32_t id =
             lineId(set, static_cast<std::uint32_t>(way));
         lineUse[id] = ++useTick;
-        const std::uint32_t word_in_line =
-            static_cast<std::uint32_t>((pa.value / 4) %
-                                       geo.wordsPerLine());
-        lineData(id)[word_in_line] = value;
+        lineData(id)[wordInLine(pa)] = value;
         return;
     }
 
@@ -192,14 +187,12 @@ Cache::write(VirtAddr va, PhysAddr pa, std::uint32_t value)
             lineId(set, static_cast<std::uint32_t>(way));
         // A Shared hit must win exclusive ownership before writing.
         if (bus != nullptr && lineState[id] == MesiState::Shared)
-            bus->busUpgrade(this, PhysAddr(geo.lineBase(pa.value)));
+            bus->busUpgrade(this, geo.lineBase(pa));
     }
     const std::uint32_t id = lineId(set, static_cast<std::uint32_t>(way));
     lineUse[id] = ++useTick;
     lineState[id] = MesiState::Modified;
-    const std::uint32_t word_in_line =
-        static_cast<std::uint32_t>((pa.value / 4) % geo.wordsPerLine());
-    lineData(id)[word_in_line] = value;
+    lineData(id)[wordInLine(pa)] = value;
 }
 
 const std::uint32_t *
@@ -207,8 +200,8 @@ Cache::copyRun(VirtAddr src_va, PhysAddr src_pa, VirtAddr dst_va,
                PhysAddr dst_pa, std::uint32_t n)
 {
     vic_assert(n > 0, "empty copy run");
-    const std::uint64_t src_tag = src_pa.value / geo.lineBytes();
-    const std::uint64_t dst_tag = dst_pa.value / geo.lineBytes();
+    const std::uint64_t src_tag = src_pa.lineNumber(geo.lineBytes());
+    const std::uint64_t dst_tag = dst_pa.lineNumber(geo.lineBytes());
     if (policy != WritePolicy::WriteBack || src_tag == dst_tag)
         return nullptr;
     const std::uint32_t src_set = geo.setIndex(indexBits(src_va, src_pa));
@@ -312,7 +305,7 @@ Cache::removePage(VirtAddr page_va, PhysAddr page_pa, bool write_back)
     const std::uint32_t lines = geo.linesPerPage();
     const std::uint32_t ways = geo.associativity();
     const std::uint32_t first = geo.setIndex(indexBits(page_va, page_pa));
-    const std::uint64_t tag0 = page_pa.value / geo.lineBytes();
+    const std::uint64_t tag0 = page_pa.lineNumber(geo.lineBytes());
     std::uint32_t present = 0;
     auto remove = [&](std::uint32_t id) {
         if (write_back && lineDirty(id))
@@ -410,9 +403,7 @@ Cache::probe(VirtAddr va, PhysAddr pa) const
     p.present = true;
     p.dirty = lineDirty(id);
     p.state = lineState[id];
-    const std::uint32_t word_in_line =
-        static_cast<std::uint32_t>((pa.value / 4) % geo.wordsPerLine());
-    p.word = lineData(id)[word_in_line];
+    p.word = lineData(id)[wordInLine(pa)];
     return p;
 }
 

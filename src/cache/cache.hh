@@ -391,10 +391,11 @@ class Cache
     Counters<kCacheCounters> counters;
     Counters<kCacheSynonymCounters> synonymCounters;
 
-    std::uint64_t
+    IndexAddr
     indexBits(VirtAddr va, PhysAddr pa) const
     {
-        return geo.indexing() == Indexing::Virtual ? va.value : pa.value;
+        return geo.indexing() == Indexing::Virtual ? IndexAddr(va)
+                                                   : IndexAddr(pa);
     }
     std::uint32_t lineId(std::uint32_t set, std::uint32_t way) const
     { return set * geo.associativity() + way; }
@@ -405,8 +406,8 @@ class Cache
 
     std::uint32_t wordInLine(PhysAddr pa) const
     {
-        return static_cast<std::uint32_t>((pa.value / 4) %
-                                          geo.wordsPerLine());
+        return static_cast<std::uint32_t>(pa.offsetIn(geo.lineBytes()) /
+                                          4);
     }
 
     bool lineValid(std::uint32_t id) const
@@ -428,7 +429,7 @@ class Cache
     int
     findWay(std::uint32_t set, PhysAddr pa) const
     {
-        const std::uint64_t tag = pa.value / geo.lineBytes();
+        const std::uint64_t tag = pa.lineNumber(geo.lineBytes());
         const std::uint32_t ways = geo.associativity();
         const std::uint32_t base = set * ways;
         std::uint32_t hit = 0;
@@ -495,13 +496,13 @@ class Cache
     void
     forEachCopy(PhysAddr pa_line, Fn &&fn)
     {
-        const std::uint64_t tag = pa_line.value / geo.lineBytes();
+        const std::uint64_t tag = pa_line.lineNumber(geo.lineBytes());
         if (tag >= copies.size() || copies[tag] == 0)
             return;
         std::uint32_t left = copies[tag];
         const std::uint32_t lines_per_page = geo.linesPerPage();
         const std::uint32_t off_line = static_cast<std::uint32_t>(
-            (pa_line.value % geo.pageBytes()) / geo.lineBytes());
+            pa_line.offsetIn(geo.pageBytes()) / geo.lineBytes());
         const std::uint32_t span = geo.spanColours();
         for (std::uint32_t c = 0; c < span; ++c) {
             const std::uint32_t set =

@@ -75,15 +75,14 @@ class CacheGeometry
                            : 1;
     }
 
-    /** Cache set selected by address bits @p addr_bits (virtual or
-     *  physical value depending on indexing; the caller passes the
-     *  right one via Cache). Inline: this runs once per simulated
-     *  access on the pipeline fast path. */
+    /** Cache set selected by @p addr: the virtual or the physical
+     *  address, by indexing (Cache::indexBits builds it). Inline:
+     *  this runs once per simulated access on the pipeline fast
+     *  path. */
     std::uint32_t
-    // vic-lint: allow(addr-kind-mixed): the paper's virtually-vs-physically-indexed split IS this channel — Cache::indexBits picks va or pa bits by Indexing, so this parameter is polymorphic by design
-    setIndex(std::uint64_t addr_bits) const
+    setIndex(IndexAddr addr) const
     {
-        return static_cast<std::uint32_t>((addr_bits / line) &
+        return static_cast<std::uint32_t>(addr.lineNumber(line) &
                                           (sets - 1));
     }
 
@@ -95,7 +94,7 @@ class CacheGeometry
     {
         if (index == Indexing::Physical || colours == 1)
             return 0;
-        return static_cast<CachePageId>((va.value / page) &
+        return static_cast<CachePageId>(va.pageNumber(page) &
                                         (colours - 1));
     }
 
@@ -106,7 +105,7 @@ class CacheGeometry
     {
         if (colours == 1)
             return 0;
-        return static_cast<CachePageId>((pa.value / page) &
+        return static_cast<CachePageId>(pa.frame(page) &
                                         (colours - 1));
     }
 
@@ -114,9 +113,8 @@ class CacheGeometry
     bool aligned(VirtAddr a, VirtAddr b) const
     { return colourOf(a) == colourOf(b); }
 
-    /** First byte of the line containing @p addr_bits. */
-    std::uint64_t lineBase(std::uint64_t addr_bits) const
-    { return addr_bits & ~std::uint64_t(line - 1); }
+    /** First byte of the line containing @p pa. */
+    PhysAddr lineBase(PhysAddr pa) const { return pa.alignDown(line); }
 
   private:
     std::uint64_t bytes;

@@ -1,5 +1,7 @@
 #include "common/types.hh"
 
+#include <ostream>
+
 #include "common/logging.hh"
 
 namespace vic
@@ -40,6 +42,36 @@ protectionName(Protection prot)
     if (prot.execute)
         s[2] = 'x';
     return s;
+}
+
+std::string
+hex(VirtAddr va)
+{
+    return format("%llx", (unsigned long long)va.value);
+}
+
+std::string
+hex(PhysAddr pa)
+{
+    return format("%llx", (unsigned long long)pa.value);
+}
+
+std::ostream &
+operator<<(std::ostream &os, VirtAddr va)
+{
+    return os << "0x" << hex(va);
+}
+
+std::ostream &
+operator<<(std::ostream &os, PhysAddr pa)
+{
+    return os << "0x" << hex(pa);
+}
+
+std::ostream &
+operator<<(std::ostream &os, const SpaceVa &sva)
+{
+    return os << "{space " << sva.space << ", 0x" << hex(sva.va) << "}";
 }
 
 } // namespace vic

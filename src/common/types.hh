@@ -5,9 +5,13 @@
  * Virtual and physical addresses are distinct wrapper types so that the
  * compiler rejects the classic cache-simulator bug of indexing a
  * virtually indexed cache with a physical address (or tagging it with a
- * virtual one). Both wrap a 64-bit value; arithmetic helpers are spelled
- * out explicitly rather than via operator overloads so call sites stay
- * greppable.
+ * virtual one). Both wrap a private 64-bit value that no public member
+ * returns whole: code works on an address through named, kind-preserving
+ * operations (alignment, offset within a granule, page or line number),
+ * and the one place where either kind may stand in for the other, the
+ * cache set index, takes an explicit IndexAddr built from one of them.
+ * Arithmetic helpers are spelled out rather than via operator overloads
+ * so call sites stay greppable.
  */
 
 #ifndef VIC_COMMON_TYPES_HH
@@ -16,7 +20,9 @@
 #include <compare>
 #include <cstdint>
 #include <functional>
+#include <iosfwd>
 #include <string>
+#include <type_traits>
 
 namespace vic
 {
@@ -34,11 +40,14 @@ using CachePageId = std::uint32_t;
 /** Identifier of a physical page frame. */
 using FrameId = std::uint64_t;
 
-/** A virtual address within some address space. */
-struct VirtAddr
-{
-    std::uint64_t value = 0;
+// Granule arguments below (a word, a line, a page, a DMA beat) are
+// powers of two, as CacheGeometry, PageTable and DmaEngine check when
+// they are configured.
 
+/** A virtual address within some address space. */
+class VirtAddr
+{
+  public:
     constexpr VirtAddr() = default;
     constexpr explicit VirtAddr(std::uint64_t v) : value(v) {}
 
@@ -47,13 +56,39 @@ struct VirtAddr
     /** Byte offset added to this address. */
     constexpr VirtAddr plus(std::uint64_t bytes) const
     { return VirtAddr(value + bytes); }
+
+    constexpr bool isAligned(std::uint64_t granule) const
+    { return (value & (granule - 1)) == 0; }
+
+    /** Byte offset of this address within its @p granule. */
+    constexpr std::uint64_t offsetIn(std::uint64_t granule) const
+    { return value & (granule - 1); }
+
+    /** First byte of the @p granule containing this address. */
+    constexpr VirtAddr alignDown(std::uint64_t granule) const
+    { return VirtAddr(value & ~(granule - 1)); }
+
+    /** Bytes from @p base (at or below this address) to this one. */
+    constexpr std::uint64_t bytesFrom(VirtAddr base) const
+    { return value - base.value; }
+
+    /** Virtual page number under @p page_bytes pages. */
+    constexpr std::uint64_t pageNumber(std::uint64_t page_bytes) const
+    { return value / page_bytes; }
+
+  private:
+    std::uint64_t value = 0;
+
+    friend class IndexAddr;
+    friend struct SpaceVa;
+    friend struct std::hash<VirtAddr>;
+    friend std::string hex(VirtAddr va);
 };
 
 /** A physical (machine) address. */
-struct PhysAddr
+class PhysAddr
 {
-    std::uint64_t value = 0;
-
+  public:
     constexpr PhysAddr() = default;
     constexpr explicit PhysAddr(std::uint64_t v) : value(v) {}
 
@@ -62,7 +97,69 @@ struct PhysAddr
     /** Byte offset added to this address. */
     constexpr PhysAddr plus(std::uint64_t bytes) const
     { return PhysAddr(value + bytes); }
+
+    constexpr bool isAligned(std::uint64_t granule) const
+    { return (value & (granule - 1)) == 0; }
+
+    /** Byte offset of this address within its @p granule. */
+    constexpr std::uint64_t offsetIn(std::uint64_t granule) const
+    { return value & (granule - 1); }
+
+    /** First byte of the @p granule containing this address. */
+    constexpr PhysAddr alignDown(std::uint64_t granule) const
+    { return PhysAddr(value & ~(granule - 1)); }
+
+    /** Bytes from @p base (at or below this address) to this one. */
+    constexpr std::uint64_t bytesFrom(PhysAddr base) const
+    { return value - base.value; }
+
+    /** Index of the 32-bit word at this address in physical memory. */
+    constexpr std::uint64_t wordIndex() const { return value / 4; }
+
+    /** Physical line number: the cache tag under @p line_bytes lines. */
+    constexpr std::uint64_t lineNumber(std::uint64_t line_bytes) const
+    { return value / line_bytes; }
+
+    /** Page frame holding this address under @p page_bytes pages. */
+    constexpr std::uint64_t frame(std::uint64_t page_bytes) const
+    { return value / page_bytes; }
+
+  private:
+    std::uint64_t value = 0;
+
+    friend class IndexAddr;
+    friend struct std::hash<PhysAddr>;
+    friend std::string hex(PhysAddr pa);
 };
+
+/**
+ * The address whose bits select a cache set: the virtual address in a
+ * virtually indexed cache, the physical one in a physically indexed
+ * cache (Cache::indexBits picks by Indexing). It is built only by
+ * explicit construction from one of the two kinds, never from raw
+ * bits, so every index names the kind it was taken from.
+ */
+class IndexAddr
+{
+  public:
+    constexpr explicit IndexAddr(VirtAddr va) : value(va.value) {}
+    constexpr explicit IndexAddr(PhysAddr pa) : value(pa.value) {}
+
+    /** Line number under @p line_bytes lines: the set index before
+     *  it wraps at the number of sets. */
+    constexpr std::uint64_t lineNumber(std::uint64_t line_bytes) const
+    { return value / line_bytes; }
+
+  private:
+    std::uint64_t value;
+};
+
+static_assert(!std::is_constructible_v<PhysAddr, VirtAddr> &&
+                  !std::is_constructible_v<VirtAddr, PhysAddr>,
+              "a virtual address becomes physical only by translation");
+static_assert(!std::is_constructible_v<IndexAddr, std::uint64_t>,
+              "a set index is taken from a typed address, not raw bits");
+static_assert(std::is_trivially_copyable_v<IndexAddr>);
 
 /** A (space, virtual address) pair: the globally unique name of a byte
  *  of virtual memory in the hierarchical address-space model. */
@@ -75,7 +172,28 @@ struct SpaceVa
     constexpr SpaceVa(SpaceId s, VirtAddr v) : space(s), va(v) {}
 
     constexpr auto operator<=>(const SpaceVa &) const = default;
+
+  private:
+    /** The pair packed into one word for hashing: the space above bit
+     *  48, xor-ed over the address. */
+    constexpr std::uint64_t
+    hashKey() const
+    { return (std::uint64_t(space) << 48) ^ va.value; }
+
+    friend struct std::hash<SpaceVa>;
+    friend class PageTable;
 };
+
+/** Lower-case hex digits of an address with no prefix, for "%s" in
+ *  log and panic messages. Event-log lines in run artifacts carry this
+ *  form, so it must stay what "%llx" writes. */
+std::string hex(VirtAddr va);
+std::string hex(PhysAddr pa);
+
+/** "0x…" for test failure messages. */
+std::ostream &operator<<(std::ostream &os, VirtAddr va);
+std::ostream &operator<<(std::ostream &os, PhysAddr pa);
+std::ostream &operator<<(std::ostream &os, const SpaceVa &sva);
 
 /** Memory-system operations, exactly the six events of the paper's
  *  consistency model (Section 3.2). Purge and Flush are the two cache
@@ -169,12 +287,8 @@ struct hash<vic::PhysAddr>
 template <>
 struct hash<vic::SpaceVa>
 {
-    size_t
-    operator()(const vic::SpaceVa &s) const noexcept
-    {
-        return std::hash<std::uint64_t>{}(
-            (std::uint64_t(s.space) << 48) ^ s.va.value);
-    }
+    size_t operator()(const vic::SpaceVa &s) const noexcept
+    { return std::hash<std::uint64_t>{}(s.hashKey()); }
 };
 
 } // namespace std

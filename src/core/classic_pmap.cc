@@ -164,8 +164,8 @@ ClassicPmap::enter(SpaceVa va, FrameId frame, Protection vm_prot,
     mach.clock().advance(mach.params().pmapOverheadCycles);
     va.va = mach.pageTable().pageBase(va.va);
     vic_assert(mach.pageTable().lookup(va) == nullptr,
-               "enter over live mapping space=%u va=%llx", va.space,
-               (unsigned long long)va.va.value);
+               "enter over live mapping space=%u va=%s", va.space,
+               hex(va.va).c_str());
 
     FrameMeta &meta = getMeta(frame);
 

@@ -248,8 +248,8 @@ LazyPmap::enter(SpaceVa va, FrameId frame, Protection vm_prot,
 {
     va.va = mach.pageTable().pageBase(va.va);
     vic_assert(mach.pageTable().lookup(va) == nullptr,
-               "enter over live mapping space=%u va=%llx", va.space,
-               (unsigned long long)va.va.value);
+               "enter over live mapping space=%u va=%s", va.space,
+               hex(va.va).c_str());
 
     PhysPageInfo &pi = getInfo(frame);
     setTranslation(va, frame, Protection::none());

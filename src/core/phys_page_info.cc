@@ -88,8 +88,8 @@ void
 PhysPageInfo::addMapping(SpaceVa va, Protection vm_prot)
 {
     vic_assert(findMapping(va) == nullptr,
-               "duplicate mapping space=%u va=%llx", va.space,
-               (unsigned long long)va.va.value);
+               "duplicate mapping space=%u va=%s", va.space,
+               hex(va.va).c_str());
     mappings.push_back(VaMapping{va, vm_prot});
 }
 

@@ -1,5 +1,6 @@
 #include "dma/dma_engine.hh"
 
+#include <bit>
 #include <exception>
 #include <utility>
 
@@ -25,8 +26,8 @@ DmaEngine::attachSnoopedCache(Cache *cache)
 void
 DmaEngine::setBeatBytes(std::uint32_t bytes)
 {
-    vic_assert(bytes >= 4 && bytes % 4 == 0,
-               "beat size %u not a word multiple", bytes);
+    vic_assert(bytes >= 4 && std::has_single_bit(bytes),
+               "beat size %u not a power-of-two word multiple", bytes);
     beatSize = bytes;
 }
 
@@ -82,7 +83,7 @@ DmaEngine::start(bool device_writes, PhysAddr pa,
                  const std::uint32_t *words, std::uint32_t *out,
                  std::uint32_t nwords)
 {
-    vic_assert(pa.value % 4 == 0, "unaligned DMA transfer");
+    vic_assert(pa.isAligned(4), "unaligned DMA transfer");
 
     // Per-transfer accounting happens at command time, exactly where
     // the historic atomic implementation charged it, so the
@@ -95,9 +96,9 @@ DmaEngine::start(bool device_writes, PhysAddr pa,
     clk.advance(costs.setup);
     if (evlog) {
         VIC_EVLOG(*evlog,
-                  format("dma-%s pa=%llx words=%u%s",
-                         device_writes ? "wr" : "rd",
-                         (unsigned long long)pa.value, nwords,
+                  format("dma-%s pa=%s words=%u%s",
+                         device_writes ? "wr" : "rd", hex(pa).c_str(),
+                         nwords,
                          snooped.empty() ? "" : " (snooped)"));
     }
 
@@ -146,12 +147,9 @@ DmaEngine::indexOf(DmaTransferId id) const
 std::uint32_t
 DmaEngine::beatWords(const Transfer &t) const
 {
-    const std::uint64_t next_word_addr =
-        t.pa.value + std::uint64_t(t.done) * 4;
-    const std::uint64_t line_end =
-        (next_word_addr / beatSize + 1) * beatSize;
-    const std::uint32_t to_boundary =
-        static_cast<std::uint32_t>((line_end - next_word_addr) / 4);
+    const PhysAddr next = t.pa.plus(std::uint64_t(t.done) * 4);
+    const std::uint32_t to_boundary = static_cast<std::uint32_t>(
+        (beatSize - next.offsetIn(beatSize)) / 4);
     const std::uint32_t remaining = t.nwords - t.done;
     return remaining < to_boundary ? remaining : to_boundary;
 }

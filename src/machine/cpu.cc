@@ -16,8 +16,8 @@ constexpr int maxFaultRetries = 8;
 void
 checkAligned(VirtAddr va)
 {
-    vic_assert(va.value % 4 == 0, "unaligned CPU access va=%llx",
-               (unsigned long long)va.value);
+    vic_assert(va.isAligned(4), "unaligned CPU access va=%s",
+               hex(va).c_str());
 }
 
 /**
@@ -45,7 +45,7 @@ lineRuns(std::uint32_t count, Run &&run, Word &&word)
 Cpu::Cpu(Machine &m, std::uint32_t cpu_id)
     : mach(m), cpuId(cpu_id), tlbRef(m.tlb(cpu_id)),
       dcacheRef(m.dcache(cpu_id)), icacheRef(m.icache(cpu_id)),
-      pageOffsetMask(m.pageBytes() - 1), pageBytesC(m.pageBytes()),
+      pageBytesC(m.pageBytes()),
       lineBytesC(m.dcache(cpu_id).geometry().lineBytes()),
       runValues(m.dcache(cpu_id).geometry().wordsPerLine())
 {
@@ -58,9 +58,9 @@ Cpu::deliver(const Fault &fault)
     ++faultsTaken;
     mach.clock().advance(mach.params().trapCycles);
     if (!faultHandler) {
-        vic_panic("fault with no handler: %s at space=%u va=%llx",
+        vic_panic("fault with no handler: %s at space=%u va=%s",
                   accessTypeName(fault.access), fault.address.space,
-                  (unsigned long long)fault.address.va.value);
+                  hex(fault.address.va).c_str());
     }
     return faultHandler(fault);
 }
@@ -132,13 +132,12 @@ Cpu::accessSlow(AccessType type, VirtAddr va, std::uint32_t store_value,
         fault.type = pte == nullptr ? FaultType::Unmapped
                                     : FaultType::Protection;
         if (!deliver(fault)) {
-            vic_panic("unrecoverable %s fault at space=%u va=%llx",
-                      accessTypeName(type), key.space,
-                      (unsigned long long)va.value);
+            vic_panic("unrecoverable %s fault at space=%u va=%s",
+                      accessTypeName(type), key.space, hex(va).c_str());
         }
     }
-    vic_panic("access livelock: %d faults at space=%u va=%llx",
-              maxFaultRetries, key.space, (unsigned long long)va.value);
+    vic_panic("access livelock: %d faults at space=%u va=%s",
+              maxFaultRetries, key.space, hex(va).c_str());
 }
 
 std::uint32_t

@@ -131,7 +131,6 @@ class Cpu
     Tlb &tlbRef;
     Cache &dcacheRef;
     Cache &icacheRef;
-    const std::uint64_t pageOffsetMask; ///< pageBytes - 1
     const std::uint64_t pageBytesC;     ///< pageBytes
     const std::uint32_t lineBytesC;     ///< d-cache line bytes
 
@@ -165,14 +164,14 @@ class Cpu
     runLength(VirtAddr va, std::uint32_t limit) const
     {
         const std::uint32_t left = static_cast<std::uint32_t>(
-            (lineBytesC - va.value % lineBytesC) / 4);
+            (lineBytesC - va.offsetIn(lineBytesC)) / 4);
         return left < limit ? left : limit;
     }
 
     /** Physical address of @p va through the translation @p pte. */
     PhysAddr
     physOf(const PageTableEntry &pte, VirtAddr va) const
-    { return PhysAddr(pte.frame * pageBytesC + (va.value & pageOffsetMask)); }
+    { return PhysAddr(pte.frame * pageBytesC + va.offsetIn(pageBytesC)); }
 
     /** Line runs of at most @p limit words at @p va (@p dst for a
      *  copy). @return the words completed, 0 if refused. */

@@ -66,8 +66,8 @@ class Executor::Recorder : public MemoryObserver
     {
         if (cur == nullptr)
             return;
-        Footprint::addLine(cur->fp.readLines, pa.value / lineBytes);
-        Footprint::addFrame(cur->fp.frames, pa.value / pageBytes);
+        Footprint::addLine(cur->fp.readLines, pa.lineNumber(lineBytes));
+        Footprint::addFrame(cur->fp.frames, pa.frame(pageBytes));
     }
 
     void
@@ -75,8 +75,8 @@ class Executor::Recorder : public MemoryObserver
     {
         if (cur == nullptr)
             return;
-        Footprint::addLine(cur->fp.writeLines, pa.value / lineBytes);
-        Footprint::addFrame(cur->fp.frames, pa.value / pageBytes);
+        Footprint::addLine(cur->fp.writeLines, pa.lineNumber(lineBytes));
+        Footprint::addFrame(cur->fp.frames, pa.frame(pageBytes));
     }
 };
 
@@ -358,10 +358,10 @@ Executor::peek(int t)
                 continue;
             fp.dmaAccess = true;
             Footprint::addFrame(fp.frames,
-                                beat->pa.value / scn.mparams.pageBytes);
+                                beat->pa.frame(scn.mparams.pageBytes));
             for (std::uint32_t w = 0; w < beat->nwords; ++w) {
                 const std::uint64_t line =
-                    (beat->pa.value + std::uint64_t(w) * 4) / lineBytes;
+                    beat->pa.plus(std::uint64_t(w) * 4).lineNumber(lineBytes);
                 if (beat->deviceWrites)
                     Footprint::addLine(fp.writeLines, line);
                 else
@@ -787,11 +787,13 @@ Executor::stateHash()
         mix(t.startedBeatThreads.size());
     }
     // Undrained store-buffer entries, FIFO order (no-op in SC mode).
+    // Addresses enter through std::hash, the one channel that reads
+    // all of their bits.
     for (std::size_t c = 0; c < sbFifo.size(); ++c) {
         for (std::size_t i = sbHead[c]; i < sbFifo[c].size(); ++i) {
             const ThreadState &d =
                 threads[static_cast<std::size_t>(sbFifo[c][i])];
-            mix(d.sbVa.value);
+            mix(std::hash<VirtAddr>{}(d.sbVa));
             mix(d.sbValue);
             mix(d.sbFrame);
         }
@@ -801,7 +803,7 @@ Executor::stateHash()
         auto beat = dma.nextBeat(i);
         if (!beat)
             continue;
-        mix(beat->pa.value);
+        mix(std::hash<PhysAddr>{}(beat->pa));
         mix(beat->nwords);
         mix(beat->deviceWrites ? 1u : 0u);
     }

@@ -17,11 +17,11 @@ PhysicalMemory::PhysicalMemory(std::uint64_t num_frames,
 std::uint64_t
 PhysicalMemory::wordIndex(PhysAddr pa) const
 {
-    vic_assert(pa.value % 4 == 0, "unaligned physical word access %llx",
-               (unsigned long long)pa.value);
-    std::uint64_t idx = pa.value / 4;
-    vic_assert(idx < store.size(), "physical address %llx out of range",
-               (unsigned long long)pa.value);
+    vic_assert(pa.isAligned(4), "unaligned physical word access %s",
+               hex(pa).c_str());
+    std::uint64_t idx = pa.wordIndex();
+    vic_assert(idx < store.size(), "physical address %s out of range",
+               hex(pa).c_str());
     return idx;
 }
 
@@ -43,8 +43,8 @@ PhysicalMemory::readWords(PhysAddr pa, std::uint32_t *out,
 {
     std::uint64_t idx = wordIndex(pa);
     vic_assert(idx + nwords <= store.size(),
-               "physical range %llx+%u out of range",
-               (unsigned long long)pa.value, nwords * 4);
+               "physical range %s+%u out of range", hex(pa).c_str(),
+               nwords * 4);
     for (std::uint32_t i = 0; i < nwords; ++i)
         out[i] = store[idx + i];
 }
@@ -55,8 +55,8 @@ PhysicalMemory::writeWords(PhysAddr pa, const std::uint32_t *in,
 {
     std::uint64_t idx = wordIndex(pa);
     vic_assert(idx + nwords <= store.size(),
-               "physical range %llx+%u out of range",
-               (unsigned long long)pa.value, nwords * 4);
+               "physical range %s+%u out of range", hex(pa).c_str(),
+               nwords * 4);
     for (std::uint32_t i = 0; i < nwords; ++i)
         store[idx + i] = in[i];
 }

@@ -34,7 +34,7 @@ class PhysicalMemory
     std::uint64_t sizeBytes() const { return frames * pageBytes; }
 
     /** Frame containing physical address @p pa. */
-    FrameId frameOf(PhysAddr pa) const { return pa.value / pageBytes; }
+    FrameId frameOf(PhysAddr pa) const { return pa.frame(pageBytes); }
 
     /** First physical address of frame @p frame. */
     PhysAddr baseOf(FrameId frame) const

@@ -85,8 +85,8 @@ PageTable::setProtection(SpaceVa key, Protection prot)
 {
     Node *n = findNode(canonical(key));
     vic_assert(n != nullptr,
-               "setProtection on unmapped page space=%u va=%llx",
-               key.space, (unsigned long long)key.va.value);
+               "setProtection on unmapped page space=%u va=%s",
+               key.space, hex(key.va).c_str());
     n->pte.prot = prot;
 }
 

@@ -58,7 +58,7 @@ class PageTable
 
     /** Truncate @p va to its page base. */
     VirtAddr pageBase(VirtAddr va) const
-    { return VirtAddr(va.value & ~std::uint64_t(pageSize - 1)); }
+    { return va.alignDown(pageSize); }
 
     /** Install (or replace) the translation for the page containing
      *  @p key.va. Replacement assigns in place — the entry's address
@@ -118,8 +118,7 @@ class PageTable
     static std::uint64_t
     mix(SpaceVa key)
     {
-        std::uint64_t x =
-            (std::uint64_t(key.space) << 48) ^ key.va.value;
+        std::uint64_t x = key.hashKey();
         x ^= x >> 30;
         x *= 0xbf58476d1ce4e5b9ULL;
         x ^= x >> 27;

@@ -13,12 +13,11 @@ ConsistencyOracle::ConsistencyOracle(std::uint64_t memory_bytes)
 std::uint64_t
 ConsistencyOracle::index(PhysAddr pa, std::uint32_t n) const
 {
-    vic_assert(pa.value % 4 == 0, "unaligned oracle access %llx",
-               (unsigned long long)pa.value);
-    const std::uint64_t idx = pa.value / 4;
+    vic_assert(pa.isAligned(4), "unaligned oracle access %s",
+               hex(pa).c_str());
+    const std::uint64_t idx = pa.wordIndex();
     vic_assert(idx < shadow.size() && n <= shadow.size() - idx,
-               "oracle address %llx out of range",
-               (unsigned long long)pa.value);
+               "oracle address %s out of range", hex(pa).c_str());
     return idx;
 }
 
@@ -106,10 +105,9 @@ ConsistencyOracle::cpuCopyRun(PhysAddr src, PhysAddr dst,
     // The runs are disjoint, so checking every load before recording
     // any store gives the per-word outcome.
     const std::uint64_t bytes = std::uint64_t(n) * 4;
-    vic_assert(src.value + bytes <= dst.value ||
-                   dst.value + bytes <= src.value,
-               "overlapping copy run %llx -> %llx",
-               (unsigned long long)src.value, (unsigned long long)dst.value);
+    vic_assert(src.plus(bytes) <= dst || dst.plus(bytes) <= src,
+               "overlapping copy run %s -> %s", hex(src).c_str(),
+               hex(dst).c_str());
     check(src, words, n, "cpu-load");
     record(dst, words, n);
 }

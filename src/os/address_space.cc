@@ -10,16 +10,15 @@ namespace vic
 bool
 Region::contains(VirtAddr va, std::uint32_t page_bytes) const
 {
-    return va.value >= start.value &&
-           va.value < start.value + std::uint64_t(numPages) * page_bytes;
+    return va >= start &&
+           va < start.plus(std::uint64_t(numPages) * page_bytes);
 }
 
 std::uint32_t
 Region::pageIndexOf(VirtAddr va, std::uint32_t page_bytes) const
 {
     vic_assert(contains(va, page_bytes), "va outside region");
-    return static_cast<std::uint32_t>((va.value - start.value) /
-                                      page_bytes);
+    return static_cast<std::uint32_t>(va.bytesFrom(start) / page_bytes);
 }
 
 AddressSpace::AddressSpace(SpaceId space_id, std::uint32_t page_bytes,
@@ -74,7 +73,7 @@ AddressSpace::createRegion(VirtAddr start, std::uint32_t pages,
                            std::uint64_t object_page_offset,
                            bool copy_on_write)
 {
-    vic_assert(start.value % pageBytes == 0, "region not page aligned");
+    vic_assert(start.isAligned(pageBytes), "region not page aligned");
     vic_assert(pages > 0, "empty region");
     vic_assert(object != nullptr, "region without object");
     vic_assert(object_page_offset + pages <= object->numPages(),
@@ -82,8 +81,7 @@ AddressSpace::createRegion(VirtAddr start, std::uint32_t pages,
     for (std::uint32_t i = 0; i < pages; ++i) {
         vic_assert(regionFor(start.plus(std::uint64_t(i) * pageBytes)) ==
                        nullptr,
-                   "overlapping region at %llx",
-                   (unsigned long long)start.value);
+                   "overlapping region at %s", hex(start).c_str());
     }
 
     Region r;
@@ -106,8 +104,8 @@ AddressSpace::removeRegion(VirtAddr start)
                            [&](const Region &r) {
                                return r.start == start;
                            });
-    vic_assert(it != regionList.end(), "no region at %llx",
-               (unsigned long long)start.value);
+    vic_assert(it != regionList.end(), "no region at %s",
+               hex(start).c_str());
     Region r = std::move(*it);
     regionList.erase(it);
     return r;
@@ -116,7 +114,7 @@ AddressSpace::removeRegion(VirtAddr start)
 bool
 AddressSpace::claimFirstAccess(VirtAddr page_va)
 {
-    return touchedPages.insert(page_va.value).second;
+    return touchedPages.insert(page_va).second;
 }
 
 } // namespace vic

@@ -99,7 +99,7 @@ class AddressSpace
     std::uint32_t colours;
     std::uint64_t bump;
     std::vector<Region> regionList;
-    std::unordered_set<std::uint64_t> touchedPages;
+    std::unordered_set<VirtAddr> touchedPages;
 };
 
 } // namespace vic

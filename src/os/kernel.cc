@@ -259,8 +259,8 @@ Kernel::vmProtect(TaskId task, VirtAddr start, Protection prot)
 {
     Task &t = getTask(task);
     Region *r = t.as->regionFor(start);
-    vic_assert(r != nullptr, "vmProtect: no region at %llx",
-               (unsigned long long)start.value);
+    vic_assert(r != nullptr, "vmProtect: no region at %s",
+               hex(start).c_str());
     r->prot = prot.intersect(r->maxProt);
 
     // Re-protect whatever is currently mapped; non-resident pages pick
@@ -283,8 +283,7 @@ Kernel::regionObject(TaskId task, VirtAddr start)
 {
     Task &t = getTask(task);
     Region *r = t.as->regionFor(start);
-    vic_assert(r != nullptr, "no region at %llx",
-               (unsigned long long)start.value);
+    vic_assert(r != nullptr, "no region at %s", hex(start).c_str());
     return r->object;
 }
 
@@ -627,11 +626,11 @@ bool
 Kernel::handleFault(const Fault &fault)
 {
     VIC_EVLOG(mach.events(),
-              format("fault  %s %s space=%u va=%llx",
+              format("fault  %s %s space=%u va=%s",
                      fault.type == FaultType::Protection ? "prot "
                                                          : "unmap",
                      accessTypeName(fault.access), fault.address.space,
-                     (unsigned long long)fault.address.va.value));
+                     hex(fault.address.va).c_str()));
     if (fault.type == FaultType::Protection) {
         if (pmapImpl->resolveConsistencyFault(fault.address,
                                               fault.access)) {

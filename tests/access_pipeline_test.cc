@@ -106,7 +106,7 @@ TEST(AccessPipelineEquivalence, AliasedPagesFastVsSlowPath)
     for (const VirtAddr va :
          {va_a, va_b, va_a.plus(16), va_b.plus(16)}) {
         const PhysAddr pa(frame * params.pageBytes +
-                          (va.value & (params.pageBytes - 1)));
+                          va.offsetIn(params.pageBytes));
         const Cache::Probe pf = fast.dcache().probe(va, pa);
         const Cache::Probe ps = slow.dcache().probe(va, pa);
         EXPECT_EQ(pf.present, ps.present);
@@ -365,24 +365,24 @@ struct CallLog : MemoryObserver
     explicit CallLog(ConsistencyOracle &golden) : oracle(golden) {}
 
     ConsistencyOracle &oracle;
-    std::vector<std::tuple<char, std::uint64_t, std::uint32_t>> calls;
+    std::vector<std::tuple<char, PhysAddr, std::uint32_t>> calls;
 
     void
     cpuLoad(PhysAddr pa, std::uint32_t v) override
     {
-        calls.emplace_back('L', pa.value, v);
+        calls.emplace_back('L', pa, v);
         oracle.cpuLoad(pa, v);
     }
     void
     cpuIFetch(PhysAddr pa, std::uint32_t v) override
     {
-        calls.emplace_back('I', pa.value, v);
+        calls.emplace_back('I', pa, v);
         oracle.cpuIFetch(pa, v);
     }
     void
     cpuStore(PhysAddr pa, std::uint32_t v) override
     {
-        calls.emplace_back('S', pa.value, v);
+        calls.emplace_back('S', pa, v);
         oracle.cpuStore(pa, v);
     }
 };
@@ -394,8 +394,8 @@ struct CallLog : MemoryObserver
  *  direct-mapped set). Group C aliases A0's frame at another colour. */
 constexpr std::uint64_t groupBase[] = {0x100000, 0x110000, 0x121000};
 constexpr std::uint32_t groupPages[] = {6, 3, 1};
-constexpr std::uint64_t pageA3 = 0x103000;
-constexpr std::uint64_t pageA4 = 0x104000;
+constexpr VirtAddr pageA3(0x103000);
+constexpr VirtAddr pageA4(0x104000);
 
 struct Twin
 {
@@ -404,14 +404,14 @@ struct Twin
           log(oracle)
     {
         const std::uint32_t page = m.pageBytes();
-        frames[groupBase[2]] = 10; // C0 aliases A0
+        frames[VirtAddr(groupBase[2])] = 10; // C0 aliases A0
         for (std::uint32_t g = 0; g < 2; ++g) {
             for (std::uint32_t k = 0; k < groupPages[g]; ++k)
-                frames[groupBase[g] + k * page] = 10 + 10 * g + k;
+                frames[VirtAddr(groupBase[g] + k * page)] = 10 + 10 * g + k;
         }
         for (const auto &[va, frame] : frames) {
             if (va != pageA3) {
-                m.pageTable().enter(SpaceVa(1, VirtAddr(va)), frame,
+                m.pageTable().enter(SpaceVa(1, va), frame,
                                     va == pageA4 ? Protection::readOnly()
                                                  : Protection::readWrite());
             }
@@ -420,11 +420,10 @@ struct Twin
                                   : &oracle);
         m.setObserverSampling(tc.samplePeriod);
         auto repair = [this](const Fault &f) {
-            const SpaceVa page_key(
-                1, VirtAddr(f.address.va.value & ~std::uint64_t(
-                                                     m.pageBytes() - 1)));
+            const SpaceVa page_key(1,
+                                   f.address.va.alignDown(m.pageBytes()));
             if (f.type == FaultType::Unmapped)
-                m.pageTable().enter(page_key, frames.at(page_key.va.value),
+                m.pageTable().enter(page_key, frames.at(page_key.va),
                                     Protection::readWrite());
             else
                 m.pageTable().setProtection(page_key,
@@ -447,19 +446,19 @@ struct Twin
     {
         for (const auto &entry : frames) {
             PageTableEntry *pte =
-                m.pageTable().lookupMutable(SpaceVa(1, VirtAddr(entry.first)));
+                m.pageTable().lookupMutable(SpaceVa(1, entry.first));
             if (pte != nullptr) {
                 pte->referenced = false;
                 pte->modified = false;
             }
         }
-        const SpaceVa a3(1, VirtAddr(pageA3));
+        const SpaceVa a3(1, pageA3);
         if (m.pageTable().lookupMutable(a3) != nullptr) {
             for (std::uint32_t c = 0; c < m.numCpus(); ++c)
                 m.tlb(c).invalidatePage(a3);
             m.pageTable().remove(a3);
         }
-        m.pageTable().setProtection(SpaceVa(1, VirtAddr(pageA4)),
+        m.pageTable().setProtection(SpaceVa(1, pageA4),
                                     Protection::readOnly());
     }
 
@@ -468,7 +467,7 @@ struct Twin
     std::optional<Cpu> peer;
     ConsistencyOracle oracle;
     CallLog log;
-    std::map<std::uint64_t, FrameId> frames; ///< page va -> frame
+    std::map<VirtAddr, FrameId> frames; ///< page va -> frame
 };
 
 /** One operation of the twin stream. */
@@ -543,7 +542,7 @@ twinStream(std::uint64_t seed, std::uint32_t page_bytes, std::size_t n)
             op.src = pickAddr(rng, page_bytes, src_room,
                               rng.chance(1, 2)
                                   ? std::optional<std::uint64_t>(
-                                        op.dst.value % page_bytes)
+                                        op.dst.offsetIn(page_bytes))
                                   : std::nullopt);
             room = std::min(room, src_room);
         }
@@ -623,7 +622,7 @@ expectSameState(Twin &a, Twin &b)
 
     const std::uint32_t page = a.m.pageBytes();
     for (const auto &entry : a.frames) {
-        const SpaceVa key(1, VirtAddr(entry.first));
+        const SpaceVa key(1, entry.first);
         const PageTableEntry *pa = a.m.pageTable().lookupMutable(key);
         const PageTableEntry *pb = b.m.pageTable().lookupMutable(key);
         ASSERT_EQ(pa == nullptr, pb == nullptr);
@@ -636,13 +635,13 @@ expectSameState(Twin &a, Twin &b)
         EXPECT_TRUE(b.m.dcache(c).copyCountsConsistent());
         for (const auto &[va, frame] : a.frames) {
             for (std::uint32_t off = 0; off < page; off += 4) {
-                const VirtAddr v(va + off);
+                const VirtAddr v = va.plus(off);
                 const PhysAddr p(frame * page + off);
                 const Cache::Probe pa = a.m.dcache(c).probe(v, p);
                 const Cache::Probe pb = b.m.dcache(c).probe(v, p);
-                ASSERT_EQ(pa.present, pb.present) << std::hex << va + off;
-                ASSERT_EQ(pa.state, pb.state) << std::hex << va + off;
-                ASSERT_EQ(pa.word, pb.word) << std::hex << va + off;
+                ASSERT_EQ(pa.present, pb.present) << v;
+                ASSERT_EQ(pa.state, pb.state) << v;
+                ASSERT_EQ(pa.word, pb.word) << v;
             }
         }
     }
@@ -685,7 +684,7 @@ lruTail(Twin &t)
         std::vector<bool> resident;
         for (const auto &entry : t.frames) {
             resident.push_back(
-                t.m.tlb().peek(SpaceVa(1, VirtAddr(entry.first))).pte !=
+                t.m.tlb().peek(SpaceVa(1, entry.first)).pte !=
                 nullptr);
         }
         log.push_back(resident);

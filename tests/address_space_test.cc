@@ -27,7 +27,7 @@ class AddressSpaceTest : public ::testing::Test
     CachePageId
     colourOf(VirtAddr va)
     {
-        return static_cast<CachePageId>((va.value / pageBytes) %
+        return static_cast<CachePageId>(va.pageNumber(pageBytes) %
                                         colours);
     }
 };
@@ -36,8 +36,8 @@ TEST_F(AddressSpaceTest, AllocateVaFirstFit)
 {
     VirtAddr a = as.allocateVa(2, std::nullopt);
     VirtAddr b = as.allocateVa(1, std::nullopt);
-    EXPECT_EQ(a.value, dynBase);
-    EXPECT_EQ(b.value, dynBase + 2 * pageBytes);
+    EXPECT_EQ(a, VirtAddr(dynBase));
+    EXPECT_EQ(b, VirtAddr(dynBase + 2 * pageBytes));
 }
 
 TEST_F(AddressSpaceTest, AllocateVaHonoursColour)
@@ -52,7 +52,7 @@ TEST_F(AddressSpaceTest, ColouredAllocationsDoNotOverlap)
 {
     VirtAddr a = as.allocateVa(3, 7);
     VirtAddr b = as.allocateVa(3, 7);
-    EXPECT_GE(b.value, a.value + 3 * pageBytes);
+    EXPECT_GE(b, a.plus(3 * pageBytes));
 }
 
 TEST_F(AddressSpaceTest, RegionLookupByAnyContainedAddress)

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include "cache/cache_geometry.hh"
+#include "common/random.hh"
 
 namespace vic
 {
@@ -47,17 +48,39 @@ TEST(CacheGeometryTest, AlignmentPredicate)
     // The paper's first hardware requirement: page alignment implies
     // alignment of every offset within the page.
     for (std::uint32_t off = 0; off < 4096; off += 32) {
-        EXPECT_EQ(g.setIndex(4096 + off),
-                  g.setIndex(4096 + 16 * 4096 + off));
+        EXPECT_EQ(g.setIndex(IndexAddr(VirtAddr(4096 + off))),
+                  g.setIndex(IndexAddr(VirtAddr(4096 + 16 * 4096 + off))));
     }
 }
 
 TEST(CacheGeometryTest, SetIndexWrapsAtSpan)
 {
     CacheGeometry g = vipt64k();
-    EXPECT_EQ(g.setIndex(0), 0u);
-    EXPECT_EQ(g.setIndex(32), 1u);
-    EXPECT_EQ(g.setIndex(64 * 1024), 0u);
+    EXPECT_EQ(g.setIndex(IndexAddr(VirtAddr(0))), 0u);
+    EXPECT_EQ(g.setIndex(IndexAddr(VirtAddr(32))), 1u);
+    EXPECT_EQ(g.setIndex(IndexAddr(VirtAddr(64 * 1024))), 0u);
+}
+
+TEST(CacheGeometryTest, IndexAddrOfEitherKindMatchesRawFormula)
+{
+    // The set index reads the same bits whichever kind the IndexAddr
+    // was built from, and they are the bits the untyped index used:
+    // (bits / line) & (sets - 1).
+    const CacheGeometry geos[] = {
+        vipt64k(),
+        CacheGeometry(64 * 1024, 32, 4096, 1, Indexing::Physical),
+        CacheGeometry(32 * 1024, 64, 4096, 2, Indexing::Virtual),
+    };
+    Random rng(17);
+    for (const CacheGeometry &g : geos) {
+        for (int i = 0; i < 1000; ++i) {
+            const std::uint64_t b = rng.next64();
+            const std::uint32_t want = static_cast<std::uint32_t>(
+                (b / g.lineBytes()) & (g.numSets() - 1));
+            EXPECT_EQ(g.setIndex(IndexAddr(VirtAddr(b))), want) << b;
+            EXPECT_EQ(g.setIndex(IndexAddr(PhysAddr(b))), want) << b;
+        }
+    }
 }
 
 TEST(CacheGeometryTest, PhysicalIndexingHasOneColour)
@@ -88,8 +111,8 @@ TEST(CacheGeometryTest, SetSpanEqualPageMeansOneColour)
 TEST(CacheGeometryTest, LineBaseMasksOffset)
 {
     CacheGeometry g = vipt64k();
-    EXPECT_EQ(g.lineBase(0x1234), 0x1220u);
-    EXPECT_EQ(g.lineBase(0x1220), 0x1220u);
+    EXPECT_EQ(g.lineBase(PhysAddr(0x1234)), PhysAddr(0x1220));
+    EXPECT_EQ(g.lineBase(PhysAddr(0x1220)), PhysAddr(0x1220));
 }
 
 TEST(CacheGeometryTest, ColourOfPhys)

@@ -253,15 +253,15 @@ class RefCache
     std::uint32_t
     setOf(VirtAddr va, PhysAddr pa) const
     {
-        return geo.setIndex(geo.indexing() == Indexing::Virtual
-                                ? va.value
-                                : pa.value);
+        return geo.indexing() == Indexing::Virtual
+                   ? geo.setIndex(IndexAddr(va))
+                   : geo.setIndex(IndexAddr(pa));
     }
 
     std::uint32_t
     wordOf(PhysAddr pa) const
     {
-        return static_cast<std::uint32_t>((pa.value / 4) %
+        return static_cast<std::uint32_t>(pa.wordIndex() %
                                           geo.wordsPerLine());
     }
 
@@ -272,7 +272,7 @@ class RefCache
     holds(const Line &l, PhysAddr pa) const
     {
         return l.state != MesiState::Invalid &&
-               l.tag == pa.value / geo.lineBytes();
+               l.tag == pa.lineNumber(geo.lineBytes());
     }
 
     int
@@ -316,7 +316,7 @@ class RefCache
         Line &l = line(set, static_cast<int>(victim));
         if (l.state == MesiState::Modified)
             writeBack(l);
-        const PhysAddr base(geo.lineBase(pa.value));
+        const PhysAddr base = geo.lineBase(pa);
         if (selfSnoop) {
             for (Line &other : lines) {
                 if (&other == &l || !holds(other, base))
@@ -331,7 +331,7 @@ class RefCache
         }
         mem.readWords(base, l.data.data(), geo.wordsPerLine());
         l.state = MesiState::Exclusive;
-        l.tag = pa.value / geo.lineBytes();
+        l.tag = pa.lineNumber(geo.lineBytes());
         ++stat("fills");
         clk.advance(costs.missPenalty);
         return static_cast<int>(victim);
@@ -454,8 +454,8 @@ TEST_P(CachePropertyTest, GeometryInvariants)
     // Alignment is an equivalence relation respecting page offsets.
     const VirtAddr a(3 * pageBytes), b(19 * pageBytes);
     if (geo.aligned(a, b)) {
-        EXPECT_EQ(geo.setIndex(a.value + 100 - 100 % 4),
-                  geo.setIndex(b.value + 100 - 100 % 4));
+        EXPECT_EQ(geo.setIndex(IndexAddr(a.plus(100 - 100 % 4))),
+                  geo.setIndex(IndexAddr(b.plus(100 - 100 % 4))));
     }
 }
 
@@ -501,7 +501,7 @@ class Differential
         const PhysAddr pa(frame * pageBytes + off);
         const VirtAddr page_va(vpage * pageBytes);
         const PhysAddr page_pa(frame * pageBytes);
-        const PhysAddr pa_line(geo.lineBase(pa.value));
+        const PhysAddr pa_line = geo.lineBase(pa);
         // An unaligned "page": its sets wrap past the end of the cache.
         const std::uint32_t skew = off / geo.lineBytes() * geo.lineBytes();
 
@@ -594,7 +594,7 @@ class Differential
                     p.state != q.state || p.word != q.word)
                     return ::testing::AssertionFailure()
                            << "op " << op << ": probe differs at va "
-                           << va.value << " pa " << pa.value;
+                           << va << " pa " << pa;
             }
         }
         return ::testing::AssertionSuccess();

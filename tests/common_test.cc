@@ -441,10 +441,10 @@ TEST(EventLogTest, DisableDropsEverything)
 TEST(TypesTest, AddressArithmeticAndOrdering)
 {
     VirtAddr a(0x1000);
-    EXPECT_EQ(a.plus(0x10).value, 0x1010u);
+    EXPECT_EQ(a.plus(0x10), VirtAddr(0x1010));
     EXPECT_LT(VirtAddr(1), VirtAddr(2));
     PhysAddr p(0x2000);
-    EXPECT_EQ(p.plus(4).value, 0x2004u);
+    EXPECT_EQ(p.plus(4), PhysAddr(0x2004));
 }
 
 TEST(TypesTest, SpaceVaEqualityIncludesSpace)
@@ -453,6 +453,48 @@ TEST(TypesTest, SpaceVaEqualityIncludesSpace)
     SpaceVa b(2, VirtAddr(0x1000));
     EXPECT_NE(a, b);
     EXPECT_EQ(a, SpaceVa(1, VirtAddr(0x1000)));
+}
+
+TEST(TypesTest, NamedAddressOperations)
+{
+    const VirtAddr va(0x12345);
+    EXPECT_TRUE(VirtAddr(0x3000).isAligned(4096));
+    EXPECT_FALSE(va.isAligned(4));
+    EXPECT_EQ(va.offsetIn(4096), 0x345u);
+    EXPECT_EQ(va.alignDown(4096), VirtAddr(0x12000));
+    EXPECT_EQ(va.bytesFrom(VirtAddr(0x12000)), 0x345u);
+    EXPECT_EQ(va.pageNumber(4096), 0x12u);
+
+    const PhysAddr pa(0x5064);
+    EXPECT_EQ(pa.wordIndex(), 0x1419u);
+    EXPECT_EQ(pa.lineNumber(32), 0x283u);
+    EXPECT_EQ(pa.frame(4096), 5u);
+    EXPECT_EQ(pa.alignDown(32), PhysAddr(0x5060));
+}
+
+TEST(TypesTest, AddressesPrintAsHex)
+{
+    // hex() matches the "%llx" the log messages printed before it.
+    EXPECT_EQ(hex(VirtAddr(0x50003000)), "50003000");
+    EXPECT_EQ(hex(PhysAddr(0)), "0");
+    // Test failures show addresses as 0x… rather than raw bytes.
+    EXPECT_EQ(::testing::PrintToString(PhysAddr(0x1000)), "0x1000");
+    EXPECT_EQ(::testing::PrintToString(VirtAddr(0xbeef0)), "0xbeef0");
+    EXPECT_EQ(::testing::PrintToString(SpaceVa(3, VirtAddr(0x2000))),
+              "{space 3, 0x2000}");
+}
+
+TEST(TypesTest, SpaceVaHashPacksSpaceAboveTheAddress)
+{
+    // The page table's bucket order and the hash containers depend on
+    // this packing; it must not move.
+    const std::uint64_t packed = (std::uint64_t(3) << 48) ^ 0x7000;
+    EXPECT_EQ(std::hash<SpaceVa>{}(SpaceVa(3, VirtAddr(0x7000))),
+              std::hash<std::uint64_t>{}(packed));
+    EXPECT_EQ(std::hash<VirtAddr>{}(VirtAddr(0x7000)),
+              std::hash<std::uint64_t>{}(0x7000));
+    EXPECT_EQ(std::hash<PhysAddr>{}(PhysAddr(0x7000)),
+              std::hash<std::uint64_t>{}(0x7000));
 }
 
 TEST(TypesTest, MemOpNames)

@@ -183,20 +183,20 @@ TEST_F(DmaTest, BeatsStopAtLineBoundaries)
     auto beat = dma.nextBeat();
     ASSERT_TRUE(beat.has_value());
     EXPECT_EQ(beat->id, ticket.id());
-    EXPECT_EQ(beat->pa.value, 0x2010u);
+    EXPECT_EQ(beat->pa, PhysAddr(0x2010));
     EXPECT_EQ(beat->nwords, 4u);
     EXPECT_TRUE(beat->deviceWrites);
 
     EXPECT_TRUE(ticket.step());
     beat = dma.nextBeat();
     ASSERT_TRUE(beat.has_value());
-    EXPECT_EQ(beat->pa.value, 0x2020u);
+    EXPECT_EQ(beat->pa, PhysAddr(0x2020));
     EXPECT_EQ(beat->nwords, 8u);
 
     EXPECT_TRUE(ticket.step());
     beat = dma.nextBeat();
     ASSERT_TRUE(beat.has_value());
-    EXPECT_EQ(beat->pa.value, 0x2040u);
+    EXPECT_EQ(beat->pa, PhysAddr(0x2040));
     EXPECT_EQ(beat->nwords, 4u);
 
     EXPECT_TRUE(ticket.step());
@@ -206,27 +206,26 @@ TEST_F(DmaTest, BeatsStopAtLineBoundaries)
 /** Logs per-word DMA hooks; the run hooks keep their defaults. */
 struct WordLog : MemoryObserver
 {
-    std::vector<std::pair<std::uint64_t, std::uint32_t>> writes, reads;
+    std::vector<std::pair<PhysAddr, std::uint32_t>> writes, reads;
     void dmaWrite(PhysAddr pa, std::uint32_t v) override
-    { writes.emplace_back(pa.value, v); }
+    { writes.emplace_back(pa, v); }
     void dmaRead(PhysAddr pa, std::uint32_t v) override
-    { reads.emplace_back(pa.value, v); }
+    { reads.emplace_back(pa, v); }
 };
 
 /** Counts run hooks: one call per beat. */
 struct RunLog : MemoryObserver
 {
-    std::vector<std::pair<std::uint64_t, std::uint32_t>> writeRuns,
-        readRuns;
+    std::vector<std::pair<PhysAddr, std::uint32_t>> writeRuns, readRuns;
     void
     dmaWriteRun(PhysAddr pa, const std::uint32_t *, std::uint32_t n) override
     {
-        writeRuns.emplace_back(pa.value, n);
+        writeRuns.emplace_back(pa, n);
     }
     void
     dmaReadRun(PhysAddr pa, const std::uint32_t *, std::uint32_t n) override
     {
-        readRuns.emplace_back(pa.value, n);
+        readRuns.emplace_back(pa, n);
     }
 };
 
@@ -242,8 +241,10 @@ TEST_F(DmaTest, UnsnoopedBeatsReportOneRunEach)
     dma.deviceWrite(PhysAddr(0x2010), data, 16);
     std::uint32_t out[16] = {};
     dma.deviceRead(PhysAddr(0x2010), out, 16);
-    using Calls = std::vector<std::pair<std::uint64_t, std::uint32_t>>;
-    const Calls beats = {{0x2010, 4}, {0x2020, 8}, {0x2040, 4}};
+    using Calls = std::vector<std::pair<PhysAddr, std::uint32_t>>;
+    const Calls beats = {{PhysAddr(0x2010), 4},
+                         {PhysAddr(0x2020), 8},
+                         {PhysAddr(0x2040), 4}};
     EXPECT_EQ(runs.writeRuns, beats);
     EXPECT_EQ(runs.readRuns, beats);
 
@@ -253,7 +254,7 @@ TEST_F(DmaTest, UnsnoopedBeatsReportOneRunEach)
     dma.deviceRead(PhysAddr(0x2010), out, 16);
     Calls expect;
     for (std::uint32_t i = 0; i < 16; ++i)
-        expect.emplace_back(0x2010 + 4 * i, 100 + i);
+        expect.emplace_back(PhysAddr(0x2010 + 4 * i), 100 + i);
     EXPECT_EQ(words.writes, expect);
     EXPECT_EQ(words.reads, expect);
     for (std::uint32_t i = 0; i < 16; ++i)

@@ -37,7 +37,7 @@ TEST_F(MachineCpuTest, MachineComposition)
     EXPECT_EQ(&machine.cacheFor(CacheKind::Data), &machine.dcache());
     EXPECT_EQ(&machine.cacheFor(CacheKind::Instruction),
               &machine.icache());
-    EXPECT_EQ(machine.frameAddr(3, 8).value, 3u * 4096u + 8u);
+    EXPECT_EQ(machine.frameAddr(3, 8), PhysAddr(3u * 4096u + 8u));
 }
 
 TEST_F(MachineCpuTest, LoadStoreRoundTrip)

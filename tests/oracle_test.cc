@@ -100,14 +100,14 @@ TEST(OracleTest, ResetForgetsEverything)
  *  their addresses, in order, through the hook as well. */
 TEST(OracleTest, RunsMatchPerWordTransfers)
 {
-    using Seen = std::vector<std::pair<std::uint64_t, std::string>>;
+    using Seen = std::vector<std::pair<PhysAddr, std::string>>;
     ConsistencyOracle runs(4096), words(4096);
     Seen seen_runs, seen_words;
     runs.setViolationHook([&](const ConsistencyOracle::Violation &v) {
-        seen_runs.emplace_back(v.pa.value, v.kind);
+        seen_runs.emplace_back(v.pa, v.kind);
     });
     words.setViolationHook([&](const ConsistencyOracle::Violation &v) {
-        seen_words.emplace_back(v.pa.value, v.kind);
+        seen_words.emplace_back(v.pa, v.kind);
     });
 
     const std::uint32_t stored[] = {1, 2, 3, 4};

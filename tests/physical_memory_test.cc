@@ -39,7 +39,7 @@ TEST(PhysicalMemoryTest, FrameMath)
     EXPECT_EQ(mem.frameOf(PhysAddr(0)), 0u);
     EXPECT_EQ(mem.frameOf(PhysAddr(4095)), 0u);
     EXPECT_EQ(mem.frameOf(PhysAddr(4096)), 1u);
-    EXPECT_EQ(mem.baseOf(3).value, 3u * 4096u);
+    EXPECT_EQ(mem.baseOf(3), PhysAddr(3u * 4096u));
 }
 
 TEST(PhysicalMemoryTest, BulkTransfer)

@@ -5,11 +5,12 @@
  *   vic_lint [--root DIR] [--pass NAME]... [--json FILE]
  *            [--sarif FILE] [--list-rules]
  *
- * Runs the three invariant passes (determinism, addr-kind, layering)
- * over the tree at --root (default: the current directory), prints one
+ * Runs the two invariant passes (determinism, layering) over the tree
+ * at --root (default: the current directory), prints one
  * "file:line:col: rule: message" line per diagnostic, and optionally
- * writes the deterministic "vic-lint-report-v2" JSON artifact and/or
- * a SARIF 2.1.0 document for CI annotators.
+ * writes the deterministic "vic-lint-report-v3" JSON artifact and/or
+ * a SARIF 2.1.0 document for CI annotators. Address kinds are held by
+ * the types in src/common/types.hh, not by a pass.
  *
  * Exit status: 0 clean, 1 diagnostics found, 2 usage/IO error.
  */
