@@ -1,20 +1,12 @@
 /**
  * @file
- * Fleet throughput: multi-replica runs of the paper workloads,
- * exercising the intra-run shard path (--shards) end to end.
+ * Fleet throughput: multi-replica runs of the paper workloads.
  *
  * Each run executes several replicas of one workload — independent
- * simulations with SplitMix64-expanded seeds — merged into a single
- * RunResult in replica order (shard_runner.hh). Under --shards N the
- * replicas spread across N host threads; the merged artifact entry is
- * byte-identical either way, which validate() proves directly by
- * running one spec at --shards 1 and --shards 3 and comparing the
- * serialised results.
- *
- * This is also the suite the throughput ratchet watches most closely:
- * its runs carry the largest sim_cycles per artifact entry, so a
- * hot-path regression (cache probe, translate walk, arena churn)
- * moves its cycles_per_host_second first.
+ * simulations with SplitMix64-expanded seeds — one after another on
+ * the engine worker that claimed the run, merged into a single
+ * RunResult in replica order (mergeRunResults). Its runs carry the
+ * largest simulated work per artifact entry of any suite.
  */
 
 #include <cstdio>
@@ -82,40 +74,15 @@ fleetReport(const SuiteOptions &opt,
     return ok;
 }
 
-/** Prove shard-count independence on a live spec: the merged result
- *  of --shards 1 and --shards 3 must serialise identically. Always at
- *  smoke scale — this is a determinism proof, not a perf probe. */
-bool
-fleetValidate(const SuiteOptions &)
-{
-    SuiteOptions smoke;
-    smoke.smoke = true;
-    RunSpec spec = paperSpec("fleet", 0, PolicyConfig::configF(),
-                             smoke, MachineParams::hp720(), "probe");
-    spec.replicaCount = 3;
-
-    const RunOutcome serial = ExperimentEngine::runOne(spec, 1);
-    const RunOutcome sharded = ExperimentEngine::runOne(spec, 3);
-    const bool clean = serial.ok && sharded.ok;
-    const bool identical =
-        clean && runResultToJson(serial.result).dump() ==
-                     runResultToJson(sharded.result).dump();
-    std::printf("SHARD CHECK: %s (3-replica merge, --shards 1 vs 3)\n",
-                identical ? "PASS" : "FAIL");
-    return identical;
-}
-
 [[maybe_unused]] const bool registered = [] {
     Suite s;
     s.name = "fleet";
-    s.title = "Fleet throughput: sharded multi-replica paper "
-              "workloads";
+    s.title = "Fleet throughput: multi-replica paper workloads";
     s.paperRef = "Wheeler & Bershad 1992, Section 6 methodology "
                  "(replicated runs)";
     s.order = 60;
     s.specs = fleetSpecs;
     s.report = fleetReport;
-    s.validate = fleetValidate;
     registerSuite(std::move(s));
     return true;
 }();

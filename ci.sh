@@ -1,7 +1,6 @@
 #!/usr/bin/env bash
-# Continuous-integration driver. Ten numbered steps (plus 5b and 6b)
-# run in order and each one gates; step 10 gates only when its tools
-# are installed:
+# Continuous-integration driver. Thirteen numbered steps run in order
+# and each one gates; step 13 gates only when its tools are installed:
 #
 #   1. tier-1: plain build + full ctest suite (the seed contract);
 #   2. sanitizer: rebuild and rerun the suite under
@@ -27,38 +26,39 @@
 #      produce an oracle-confirmed weak-order window, the fuzzer
 #      must discover no trace DPOR missed, and the report is
 #      archived (VERIFY_weak.json);
-#   5b. multiprocessor coherence exploration: verify_policy
+#   6. multiprocessor coherence exploration: verify_policy
 #      --interleave --coherence runs the cross-cache catalog — the
 #      sharing pairs must be benign (positively reported) on the
 #      MESI machine and the non-coherent regression must yield an
 #      oracle-confirmed race — archiving VERIFY_coherence.json;
-#   6. bench smoke: vic_bench sweeps every suite at smoke scale
+#   7. bench smoke: vic_bench sweeps every suite at smoke scale
 #      through the experiment engine, gated on zero oracle
 #      violations, and archives the JSON artifact (BENCH_smoke.json);
 #      the same sweep rerun serially must produce an artifact
 #      equivalent to the parallel one modulo wall-clock — the
 #      engine's determinism contract;
-#   6b. micro-benchmark smoke: micro_ops (google-benchmark rows for
+#   8. micro-benchmark smoke: micro_ops (google-benchmark rows for
 #      each layer's hot path) runs once at a short min-time, gated on
 #      its exit status only — the numbers are host-dependent, the
 #      rows must simply keep building and running;
-#   7. perf smoke: vic_bench --smoke rebuilt at Release (-O3) and run
-#      with --shards 2 (the intra-run shard path must be exercised by
-#      every CI pass), its artifact asserted equivalent to the
-#      default build's (the pipeline's functional behaviour must not
-#      depend on the optimisation level OR the shard count), gated by
-#      the throughput ratchet (--ratchet: >10% regression in
-#      cycles_per_host_second vs the archived baseline fails CI),
-#      and the refreshed baseline archived (BENCH_throughput.json);
-#   8. thread sanitizer: the threaded fan-outs (experiment engine
-#      tests + the shard runner tests + the smoke sweep + the model
-#      checker's exploreMany + the CoherenceBus head-to-head paths +
-#      a sharded fleet sweep) rebuilt and rerun under TSan;
-#   9. static analysis: tools/vic_lint runs both invariant passes
+#   9. Release smoke: vic_bench --smoke rebuilt at Release (-O3), its
+#      artifact asserted equivalent to the default build's (the
+#      pipeline's functional behaviour must not depend on the
+#      optimisation level);
+#  10. perf gate: tools/perf_gate.py runs perfbench on this tree and
+#      on its base commit in alternating pairs on every BENCHMARK.json
+#      workload, failing on a simulated-work difference or a median
+#      refs_per_s ratio below BENCHMARK.json's bound
+#      (docs/BENCHMARKING.md, "The perf gate");
+#  11. thread sanitizer: the threaded fan-outs (experiment engine
+#      tests + the smoke sweep + the model checker's exploreMany +
+#      the CoherenceBus head-to-head paths) rebuilt and rerun under
+#      TSan;
+#  12. static analysis: tools/vic_lint runs both invariant passes
 #      (determinism, layering — see docs/STATIC_ANALYSIS.md) over the
 #      tree, gating on zero diagnostics, and archives LINT_report.json
 #      (schema v3) plus LINT_report.sarif for CI annotators;
-#  10. style lint: clang-format / clang-tidy, gating when installed
+#  13. style lint: clang-format / clang-tidy, gating when installed
 #      and skipped with a notice otherwise (they are configs-first:
 #      the repo must stay clean under gcc -Werror regardless).
 #
@@ -128,21 +128,16 @@ rm -f BENCH_smoke_j1.json
 step "micro-benchmark smoke (micro_ops, exit status only)"
 ./build/bench/micro_ops --benchmark_min_time=0.01
 
-step "perf smoke (Release -O3, shards, artifact equivalence, ratchet)"
+step "Release smoke (Release -O3, artifact equivalence)"
 cmake -B build-release -S . -DCMAKE_BUILD_TYPE=Release >/dev/null
 cmake --build build-release -j "$JOBS" --target vic_bench
-# --shards 2 exercises the intra-run shard path; the artifact must
-# stay equivalent to the Debug --shards 1 sweep. The ratchet gates on
-# >10% cycles_per_host_second regression vs the archived baseline,
-# and only a passing sweep refreshes it (--throughput).
-./build-release/tools/vic_bench --smoke --jobs 2 --shards 2 \
-    --json BENCH_smoke_release.json \
-    --ratchet BENCH_throughput.json \
-    --throughput BENCH_throughput.json
+./build-release/tools/vic_bench --smoke --jobs 2 \
+    --json BENCH_smoke_release.json
 ./build/tools/vic_bench --diff BENCH_smoke.json BENCH_smoke_release.json
 rm -f BENCH_smoke_release.json
-./build-release/tools/vic_bench --list --throughput BENCH_throughput.json
-echo "artifact archived: BENCH_throughput.json (ratchet baseline)"
+
+step "perf gate (perfbench A/B against the base commit)"
+python3 tools/perf_gate.py
 
 if [[ "$FULL" == 1 ]]; then
     step "full-scale Table 1 sweep (opt-in, calibrated shape checks)"
@@ -165,7 +160,7 @@ fi
 step "thread sanitizer build (experiment engine + model checker + coherence)"
 cmake -B build-tsan -S . -DVIC_SANITIZE=thread >/dev/null
 cmake --build build-tsan -j "$JOBS" \
-    --target experiment_engine_test shard_test vic_bench mc_test \
+    --target experiment_engine_test vic_bench mc_test \
              weak_order_test multiprocessor_test
 
 step "thread sanitizer: engine tests + smoke sweep + explorer + coherence"
@@ -180,11 +175,6 @@ step "thread sanitizer: engine tests + smoke sweep + explorer + coherence"
 ./build-tsan/tests/multiprocessor_test >/dev/null
 ./build-tsan/tools/vic_bench --smoke --filter coherence --jobs 4 \
     --json /dev/null >/dev/null
-# Intra-run sharding: the shard runner's worker threads (unit tests),
-# then jobs x shards nested fan-out through the whole fleet suite.
-./build-tsan/tests/shard_test >/dev/null
-./build-tsan/tools/vic_bench --smoke --filter fleet --jobs 2 \
-    --shards 4 --json /dev/null >/dev/null
 echo "TSan: clean"
 
 step "static analysis (vic_lint, all passes)"

@@ -9,7 +9,6 @@
 #include <thread>
 
 #include "common/logging.hh"
-#include "workload/shard_runner.hh"
 
 namespace vic
 {
@@ -55,8 +54,28 @@ ExperimentEngine::matchesFilter(const std::string &id,
     return false;
 }
 
+RunResult
+mergeRunResults(const std::vector<RunResult> &parts)
+{
+    vic_assert(!parts.empty(), "merge of zero run results");
+    RunResult merged;
+    merged.workload = parts.front().workload;
+    merged.policy = parts.front().policy;
+    for (const RunResult &p : parts) {
+        merged.cycles += p.cycles;
+        merged.seconds += p.seconds;
+        merged.oracleViolations += p.oracleViolations;
+        merged.oracleChecked += p.oracleChecked;
+        for (const auto &[name, value] : p.stats)
+            merged.stats[name] += value;
+        merged.traceTail.insert(merged.traceTail.end(),
+                                p.traceTail.begin(), p.traceTail.end());
+    }
+    return merged;
+}
+
 RunOutcome
-ExperimentEngine::runOne(const RunSpec &spec, unsigned shards)
+ExperimentEngine::runOne(const RunSpec &spec)
 {
     RunOutcome out;
     out.id = spec.id;
@@ -72,25 +91,20 @@ ExperimentEngine::runOne(const RunSpec &spec, unsigned shards)
         vic_assert(static_cast<bool>(spec.make),
                    "RunSpec '%s' has no workload factory",
                    spec.id.c_str());
-        if (out.replicaCount > 1) {
-            // Seeds are derived HERE (the experiment layer owns seed
-            // policy) and passed down — the shard runner stays a pure
-            // mechanism.
-            std::vector<std::uint64_t> seeds(out.replicaCount);
-            for (std::uint32_t k = 0; k < out.replicaCount; ++k)
-                seeds[k] = effectiveSeed(spec.seed, spec.replica + k);
-            out.result = runWorkloadSharded(spec.make, seeds, shards,
-                                            spec.policy, spec.machine,
-                                            spec.os, spec.traceEvents);
-            out.workload = out.result.workload;
-        } else {
+        // Replicas run in replica order on this thread, each a fresh
+        // workload on its own machine; the first failure ends the run.
+        std::vector<RunResult> parts;
+        parts.reserve(out.replicaCount);
+        for (std::uint32_t k = 0; k < out.replicaCount; ++k) {
             std::unique_ptr<Workload> workload = spec.make();
-            workload->reseed(out.effectiveSeed);
-            out.workload = workload->name();
-            out.result = runWorkload(*workload, spec.policy,
-                                     spec.machine, spec.os,
-                                     spec.traceEvents);
+            workload->reseed(effectiveSeed(spec.seed, spec.replica + k));
+            if (k == 0)
+                out.workload = workload->name();
+            parts.push_back(runWorkload(*workload, spec.policy,
+                                        spec.machine, spec.os,
+                                        spec.traceEvents));
         }
+        out.result = mergeRunResults(parts);
         out.ok = true;
     } catch (const std::exception &e) {
         out.ok = false;
@@ -134,7 +148,7 @@ ExperimentEngine::run(const std::vector<RunSpec> &specs,
 
     if (jobs == 1) {
         for (std::size_t i = 0; i < specs.size(); ++i) {
-            outcomes[i] = runOne(specs[i], options.shards);
+            outcomes[i] = runOne(specs[i]);
             report(outcomes[i]);
         }
         return outcomes;
@@ -153,7 +167,7 @@ ExperimentEngine::run(const std::vector<RunSpec> &specs,
                     next.fetch_add(1, std::memory_order_relaxed);
                 if (i >= specs.size())
                     return;
-                outcomes[i] = runOne(specs[i], options.shards);
+                outcomes[i] = runOne(specs[i]);
                 report(outcomes[i]);
             }
         });

@@ -11,6 +11,10 @@
  * order, so a batch's outcome — and the JSON artifact derived from
  * it — is byte-identical between --jobs 1 and --jobs N (excluding
  * wall-clock fields).
+ *
+ * A spec is the unit of work: the replicas of a replicated spec run
+ * serially on the worker that claimed it, so --jobs is the only
+ * parallelism axis.
  */
 
 #ifndef VIC_EXPERIMENT_EXPERIMENT_ENGINE_HH
@@ -25,6 +29,14 @@
 namespace vic
 {
 
+/**
+ * Fold per-replica results into one RunResult in the order given
+ * (callers pass replica-index order): cycles, seconds, oracle counts
+ * and every stat counter are summed; trace tails concatenate.
+ * Workload/policy names come from the first result.
+ */
+RunResult mergeRunResults(const std::vector<RunResult> &parts);
+
 class ExperimentEngine
 {
   public:
@@ -33,13 +45,6 @@ class ExperimentEngine
         /** Worker threads; values < 2 (or a single spec) run the
          *  batch serially on the calling thread. */
         unsigned jobs = 1;
-
-        /** Host threads for the replicas INSIDE one run (specs with
-         *  replicaCount > 1; see shard_runner.hh). Orthogonal to
-         *  @c jobs: jobs fans out across runs, shards fans out within
-         *  a run. Values < 2 run each run's replicas serially —
-         *  merged output is identical either way. */
-        unsigned shards = 1;
 
         /** Print one progress line per completed run to stderr. */
         bool echoProgress = false;
@@ -60,9 +65,10 @@ class ExperimentEngine
         return run(specs, Options());
     }
 
-    /** Execute one spec; replicas (replicaCount > 1) use up to
-     *  @p shards host threads, merged deterministically. */
-    static RunOutcome runOne(const RunSpec &spec, unsigned shards = 1);
+    /** Execute one spec on the calling thread: its replicaCount
+     *  replicas run one after another in replica order and are
+     *  merged with mergeRunResults. */
+    static RunOutcome runOne(const RunSpec &spec);
 
     /** SplitMix64 mix step (public for tests and seed derivation). */
     static std::uint64_t splitmix64(std::uint64_t x);

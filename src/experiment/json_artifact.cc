@@ -9,30 +9,6 @@
 namespace vic
 {
 
-namespace
-{
-
-/** Simulated-cycles-per-host-second; 0 when no time was measured. */
-double
-cyclesPerHostSecond(std::uint64_t cycles, double wall_seconds)
-{
-    return wall_seconds > 0 ? double(cycles) / wall_seconds : 0.0;
-}
-
-/** Write @p text to @p path; false on I/O error. */
-bool
-writeTextFile(const std::string &path, const std::string &text)
-{
-    std::FILE *f = std::fopen(path.c_str(), "w");
-    if (!f)
-        return false;
-    const bool ok =
-        std::fwrite(text.data(), 1, text.size(), f) == text.size();
-    return std::fclose(f) == 0 && ok;
-}
-
-} // anonymous namespace
-
 JsonValue
 runResultToJson(const RunResult &r)
 {
@@ -106,8 +82,6 @@ outcomeToJson(const RunOutcome &out)
     v.set("policy", JsonValue::str(out.policy));
     v.set("seed", JsonValue::number(out.seed));
     v.set("replica", JsonValue::number(std::uint64_t(out.replica)));
-    // Emitted only for merged multi-replica runs, so single-replica
-    // artifacts stay byte-identical to the pre-sharding schema.
     if (out.replicaCount > 1)
         v.set("replicas",
               JsonValue::number(std::uint64_t(out.replicaCount)));
@@ -116,15 +90,8 @@ outcomeToJson(const RunOutcome &out)
     if (!out.ok)
         v.set("error", JsonValue::str(out.error));
     v.set("wall_seconds", JsonValue::number(out.wallSeconds));
-    if (out.ok) {
-        // Host throughput: how many simulated cycles this run got
-        // through per second of host time. Wall-derived, so
-        // stripWallClock() drops it for equivalence checks.
-        v.set("cycles_per_host_second",
-              JsonValue::number(cyclesPerHostSecond(
-                  std::uint64_t(out.result.cycles), out.wallSeconds)));
+    if (out.ok)
         v.set("result", runResultToJson(out.result));
-    }
     return v;
 }
 
@@ -138,17 +105,8 @@ artifactToJson(const ArtifactMeta &meta,
           JsonValue::number(std::int64_t(kBenchSchemaVersion)));
     v.set("smoke", JsonValue::boolean(meta.smoke));
     v.set("jobs", JsonValue::number(std::uint64_t(meta.jobs)));
-    v.set("shards", JsonValue::number(std::uint64_t(meta.shards)));
     v.set("filter", JsonValue::str(meta.filter));
     v.set("wall_seconds", JsonValue::number(meta.wallSeconds));
-    std::uint64_t total_cycles = 0;
-    for (const auto &out : outcomes) {
-        if (out.ok)
-            total_cycles += std::uint64_t(out.result.cycles);
-    }
-    v.set("cycles_per_host_second",
-          JsonValue::number(
-              cyclesPerHostSecond(total_cycles, meta.wallSeconds)));
     JsonValue runs = JsonValue::array();
     for (const auto &out : outcomes)
         runs.push(outcomeToJson(out));
@@ -167,79 +125,27 @@ bool
 writeArtifactFile(const std::string &path, const ArtifactMeta &meta,
                   const std::vector<RunOutcome> &outcomes)
 {
-    return writeTextFile(path, renderArtifact(meta, outcomes));
-}
-
-JsonValue
-throughputToJson(const ArtifactMeta &meta,
-                 const std::vector<RunOutcome> &outcomes)
-{
-    JsonValue v = JsonValue::object();
-    v.set("schema", JsonValue::str("vic-bench-throughput"));
-    v.set("schema_version",
-          JsonValue::number(std::int64_t(kBenchSchemaVersion)));
-    v.set("smoke", JsonValue::boolean(meta.smoke));
-    v.set("jobs", JsonValue::number(std::uint64_t(meta.jobs)));
-    v.set("shards", JsonValue::number(std::uint64_t(meta.shards)));
-    v.set("filter", JsonValue::str(meta.filter));
-
-    std::uint64_t total_cycles = 0;
-    JsonValue runs = JsonValue::array();
-    for (const auto &out : outcomes) {
-        if (!out.ok)
-            continue;
-        const std::uint64_t cycles = std::uint64_t(out.result.cycles);
-        total_cycles += cycles;
-        JsonValue run = JsonValue::object();
-        run.set("id", JsonValue::str(out.id));
-        run.set("suite", JsonValue::str(out.suite));
-        run.set("host_seconds", JsonValue::number(out.wallSeconds));
-        run.set("sim_cycles", JsonValue::number(cycles));
-        run.set("cycles_per_host_second",
-                JsonValue::number(
-                    cyclesPerHostSecond(cycles, out.wallSeconds)));
-        runs.push(std::move(run));
-    }
-
-    // Batch totals use the batch wall clock (which, under --jobs > 1,
-    // is less than the sum of per-run times).
-    v.set("host_seconds", JsonValue::number(meta.wallSeconds));
-    v.set("sim_cycles", JsonValue::number(total_cycles));
-    v.set("cycles_per_host_second",
-          JsonValue::number(
-              cyclesPerHostSecond(total_cycles, meta.wallSeconds)));
-    v.set("runs", std::move(runs));
-    return v;
-}
-
-bool
-writeThroughputFile(const std::string &path, const ArtifactMeta &meta,
-                    const std::vector<RunOutcome> &outcomes)
-{
-    return writeTextFile(path, throughputToJson(meta, outcomes).dump(2));
+    const std::string text = renderArtifact(meta, outcomes);
+    std::FILE *f = std::fopen(path.c_str(), "w");
+    if (!f)
+        return false;
+    const bool ok =
+        std::fwrite(text.data(), 1, text.size(), f) == text.size();
+    return std::fclose(f) == 0 && ok;
 }
 
 void
 stripWallClock(JsonValue &v)
 {
     switch (v.kind()) {
-      case JsonValue::Kind::Object: {
-        // Throughput fields are wall-derived AND schema additions:
-        // removing (not zeroing) them lets an artifact written before
-        // the field existed compare equivalent to one written after.
-        auto &members = v.members();
-        std::erase_if(members, [](const auto &m) {
-            return m.first == "cycles_per_host_second" ||
-                   m.first == "host_seconds";
-        });
-        for (auto &[key, member] : members) {
+      case JsonValue::Kind::Object:
+        for (auto &[key, member] : v.members()) {
             if (key == "wall_seconds")
                 member = JsonValue::number(std::uint64_t(0));
             else
                 stripWallClock(member);
         }
         break;
-      }
       case JsonValue::Kind::Array:
         for (auto &item : v.items())
             stripWallClock(item);
@@ -310,10 +216,8 @@ artifactsEquivalent(const std::string &a_text,
 {
     JsonValue a = JsonValue::parse(a_text);
     JsonValue b = JsonValue::parse(b_text);
-    // The batch header legitimately differs in "jobs" and "shards"
-    // (neither may change results); everything else outside wall-clock
-    // must agree. "shards" is ERASED rather than zeroed so artifacts
-    // written before the field existed still compare equivalent.
+    // The batch header legitimately differs in "jobs" (which may not
+    // change results); everything else outside wall-clock must agree.
     stripWallClock(a);
     stripWallClock(b);
     for (JsonValue *v : {&a, &b}) {
@@ -321,9 +225,6 @@ artifactsEquivalent(const std::string &a_text,
             continue;
         if (auto *jobs = v->find("jobs"))
             *jobs = JsonValue::number(std::uint64_t(0));
-        std::erase_if(v->members(), [](const auto &m) {
-            return m.first == "shards";
-        });
     }
 
     const std::string diff = firstDifference(a, b, "$");

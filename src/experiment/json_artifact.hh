@@ -4,8 +4,7 @@
  *
  * One artifact captures one engine batch: per-run counters, cycles,
  * oracle verdicts and wall-clock, under a schema-version field so CI
- * can diff perf trajectories across commits without guessing the
- * layout. Every field except the "wall_seconds" keys is a pure
+ * can diff results across commits without guessing the layout. Every field except the "wall_seconds" keys is a pure
  * function of the spec list, which is what the serial-vs-parallel
  * determinism guarantee (and artifactsEquivalent) is built on.
  *
@@ -20,20 +19,14 @@
  *   }
  *
  * Run entry: id, suite, workload, policy, seed, replica, replicas
- * (only when > 1 — a merged multi-replica run; absent otherwise so
- * pre-sharding artifacts stay byte-compatible), effective_seed, ok,
- * error, wall_seconds, cycles_per_host_second
- * (host throughput: simulated cycles per host second — wall-derived,
- * stripped for equivalence along with wall_seconds), and on success
- * the full RunResult: cycles, seconds (= cycles / 50 MHz), oracle
+ * (only when > 1 — a merged multi-replica run; absent otherwise),
+ * effective_seed, ok, error, wall_seconds, and on success the full
+ * RunResult: cycles, seconds (= cycles / 50 MHz), oracle
  * {checked, violations}, stats (name -> counter, sorted by name) and
- * trace (when tracing was requested). The batch header carries the
- * aggregate cycles_per_host_second.
+ * trace (when tracing was requested).
  *
- * A companion throughput artifact (schema "vic-bench-throughput",
- * same version) extracts just the perf trajectory — per run:
- * host_seconds, sim_cycles, cycles_per_host_second, plus batch
- * totals — so CI can archive a small perf baseline per commit.
+ * Host speed is perfbench's to measure, not a figure derived from
+ * these wall_seconds (docs/BENCHMARKING.md, "The perf gate").
  */
 
 #ifndef VIC_EXPERIMENT_JSON_ARTIFACT_HH
@@ -54,10 +47,6 @@ inline constexpr int kBenchSchemaVersion = 1;
 struct ArtifactMeta
 {
     unsigned jobs = 1;
-    /** Host threads per run's replicas (--shards). Recorded for
-     *  provenance; neutralised by artifactsEquivalent exactly like
-     *  "jobs" — shard count must never change results. */
-    unsigned shards = 1;
     bool smoke = false;
     std::string filter;
     double wallSeconds = 0;
@@ -85,20 +74,8 @@ bool writeArtifactFile(const std::string &path,
                        const ArtifactMeta &meta,
                        const std::vector<RunOutcome> &outcomes);
 
-/** Throughput-only companion artifact (see file doc). */
-JsonValue throughputToJson(const ArtifactMeta &meta,
-                           const std::vector<RunOutcome> &outcomes);
-
-/** Write throughputToJson output to @p path; false on I/O error. */
-bool writeThroughputFile(const std::string &path,
-                         const ArtifactMeta &meta,
-                         const std::vector<RunOutcome> &outcomes);
-
-/** Zero every "wall_seconds" member and drop the wall-derived
- *  throughput members ("cycles_per_host_second", "host_seconds"),
- *  recursively, so two artifacts can be compared modulo host timing
- *  — including artifacts written before the throughput fields
- *  existed. */
+/** Zero every "wall_seconds" member, recursively, so two artifacts
+ *  can be compared modulo host timing. */
 void stripWallClock(JsonValue &v);
 
 /**

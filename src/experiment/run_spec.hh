@@ -58,10 +58,9 @@ struct RunSpec
     std::uint32_t replica = 0;
 
     /** Replicas executed INSIDE this run: indices @c replica ..
-     *  @c replica + replicaCount - 1, results merged in index order
-     *  (shard_runner.hh). 1 — the default — is the classic
-     *  single-simulation run; > 1 makes the run shardable across host
-     *  threads via --shards without changing its merged artifact. */
+     *  @c replica + replicaCount - 1, run serially and merged in index
+     *  order (mergeRunResults). 1 — the default — is the classic
+     *  single-simulation run. */
     std::uint32_t replicaCount = 1;
 
     /** When nonzero, record this many most-recent consistency events

@@ -1,9 +1,9 @@
 /**
  * @file
  * ExperimentEngine: spec-order collection under parallel execution,
- * per-run failure isolation, filter semantics, seed derivation, and
- * the JSON artifact round-trip / determinism guarantees, and the
- * parser's rejection of hostile input.
+ * per-run failure isolation, filter semantics, seed derivation, the
+ * serial replica merge, the JSON artifact round-trip / determinism
+ * guarantees, and the parser's rejection of hostile input.
  */
 
 #include <gtest/gtest.h>
@@ -11,6 +11,7 @@
 #include <stdexcept>
 #include <string>
 
+#include "common/stats.hh"
 #include "experiment/experiment_engine.hh"
 #include "experiment/json_artifact.hh"
 #include "workload/contrived_alias.hh"
@@ -33,6 +34,17 @@ aliasSpec(const std::string &id, std::uint32_t writes,
             ContrivedAlias::Params{aligned, writes, false});
     };
     spec.policy = PolicyConfig::configF();
+    return spec;
+}
+
+/** A replicated spec of the unaligned contrived loop. */
+RunSpec
+replicatedSpec(const std::string &id, std::uint32_t writes,
+               std::uint32_t replicas)
+{
+    RunSpec spec = aliasSpec(id, writes, /*aligned=*/false);
+    spec.seed = 0xaf5;
+    spec.replicaCount = replicas;
     return spec;
 }
 
@@ -167,6 +179,100 @@ TEST(ExperimentEngine, SecondsAgreeWithCycleCounter)
                                     double(specs[0].machine.clockHz));
 }
 
+TEST(Replicas, MergeSumsStatsLikeASerialStatSet)
+{
+    // The merge must behave exactly like accumulating every replica's
+    // counters into one StatSet: summed per name, union of names.
+    RunResult a, b;
+    a.workload = b.workload = "w";
+    a.policy = b.policy = "F";
+    a.cycles = 100;
+    b.cycles = 50;
+    a.seconds = 2.0;
+    b.seconds = 1.0;
+    a.oracleChecked = 10;
+    b.oracleChecked = 4;
+    a.oracleViolations = 1;
+    b.oracleViolations = 2;
+    a.stats = {{"dcache.hits", 7}, {"dcache.misses", 2}};
+    b.stats = {{"dcache.hits", 3}, {"tlb.misses", 5}};
+    a.traceTail = {"e1"};
+    b.traceTail = {"e2", "e3"};
+
+    StatSet reference;
+    for (const RunResult *r : {&a, &b}) {
+        for (const auto &[name, value] : r->stats)
+            reference.counter(name) += value;
+    }
+
+    const RunResult m = mergeRunResults({a, b});
+    EXPECT_EQ(m.workload, "w");
+    EXPECT_EQ(m.cycles, 150u);
+    EXPECT_DOUBLE_EQ(m.seconds, 3.0);
+    EXPECT_EQ(m.oracleChecked, 14u);
+    EXPECT_EQ(m.oracleViolations, 3u);
+    EXPECT_EQ(m.stats, reference.snapshot());
+    EXPECT_EQ(m.traceTail,
+              (std::vector<std::string>{"e1", "e2", "e3"}));
+}
+
+TEST(Replicas, MergeEqualsManualSumOfSingleRuns)
+{
+    // runOne over N replicas must equal N classic runWorkload calls
+    // folded by hand — the merge adds no work of its own.
+    RunSpec spec = replicatedSpec("fleet", 200, 3);
+    spec.seed = 0x5eed;
+
+    std::vector<RunResult> singles;
+    for (std::uint32_t k = 0; k < 3; ++k) {
+        auto w = spec.make();
+        w->reseed(ExperimentEngine::effectiveSeed(0x5eed, k));
+        singles.push_back(runWorkload(*w, PolicyConfig::configF()));
+    }
+    const RunOutcome merged = ExperimentEngine::runOne(spec);
+    ASSERT_TRUE(merged.ok) << merged.error;
+    EXPECT_EQ(runResultToJson(mergeRunResults(singles)).dump(2),
+              runResultToJson(merged.result).dump(2));
+}
+
+TEST(Replicas, ReplicaSeedsFollowTheEngineDerivation)
+{
+    // A 2-replica merged run covers exactly the work of replica 0 and
+    // replica 1 run separately: seeds come from the same SplitMix64
+    // expansion the engine uses for whole-run replicas.
+    const RunOutcome merged =
+        ExperimentEngine::runOne(replicatedSpec("pair", 180, 2));
+
+    RunSpec r0 = replicatedSpec("r0", 180, 1);
+    r0.replica = 0;
+    RunSpec r1 = replicatedSpec("r1", 180, 1);
+    r1.replica = 1;
+    const RunOutcome o0 = ExperimentEngine::runOne(r0);
+    const RunOutcome o1 = ExperimentEngine::runOne(r1);
+    ASSERT_TRUE(merged.ok && o0.ok && o1.ok);
+
+    const RunResult manual = mergeRunResults({o0.result, o1.result});
+    EXPECT_EQ(runResultToJson(merged.result).dump(2),
+              runResultToJson(manual).dump(2));
+}
+
+TEST(Replicas, OnlyMergedRunsCarryAReplicasField)
+{
+    // A single-replica artifact entry carries no "replicas" field; a
+    // merged one records its replica count.
+    const RunOutcome single =
+        ExperimentEngine::runOne(replicatedSpec("single", 250, 1));
+    ASSERT_TRUE(single.ok);
+    EXPECT_EQ(outcomeToJson(single).find("replicas"), nullptr);
+
+    const RunOutcome merged =
+        ExperimentEngine::runOne(replicatedSpec("multi", 100, 2));
+    ASSERT_TRUE(merged.ok);
+    const JsonValue j = outcomeToJson(merged);
+    ASSERT_NE(j.find("replicas"), nullptr);
+    EXPECT_EQ(j.find("replicas")->asU64(), 2u);
+}
+
 TEST(RunResult, SumMatchingAnyCountsOverlappingCountersOnce)
 {
     RunResult r;
@@ -284,6 +390,9 @@ TEST(JsonArtifact, SerialAndParallelArtifactsAreEquivalent)
     for (int i = 0; i < 5; ++i)
         specs.push_back(aliasSpec("r" + std::to_string(i),
                                   200 * (5 - i), i % 2 == 0));
+    // Replicated specs: --jobs independence covers merged runs too.
+    specs.push_back(replicatedSpec("fleet0", 300, 4));
+    specs.push_back(replicatedSpec("fleet1", 150, 3));
 
     ExperimentEngine engine;
     ExperimentEngine::Options par;

@@ -12,9 +12,8 @@
  * exactly what --diff checks.
  *
  * Usage:
- *   vic_bench [--list] [--filter s1,s2] [--jobs N] [--shards N]
- *             [--smoke] [--json PATH] [--throughput PATH]
- *             [--ratchet BASELINE.json] [--trace N] [--progress]
+ *   vic_bench [--list] [--filter s1,s2] [--jobs N] [--smoke]
+ *             [--json PATH] [--trace N] [--progress]
  *   vic_bench --diff A.json B.json
  *
  * --filter takes comma-separated substrings matched against suite
@@ -25,23 +24,8 @@
  * are equivalent, 1 when they differ and 2 when either cannot be
  * read or parsed.
  *
- * --shards N fans the replicas INSIDE each multi-replica run (the
- * fleet suite) out across N host threads; results merge
- * deterministically, so artifacts are --shards-independent just as
- * they are --jobs-independent.
- *
- * --throughput writes the vic-bench-throughput companion artifact
- * (per-run host_seconds / sim_cycles / cycles_per_host_second) after
- * a sweep; --list reads the same file (default BENCH_throughput.json)
- * to fill its throughput column from the last archived sweep.
- *
- * --ratchet BASELINE.json gates on host throughput: the sweep's
- * aggregate cycles_per_host_second — computed over the run ids
- * present in BOTH the baseline and this sweep, so suite additions
- * don't skew the ratio — must not regress more than 10% below the
- * archived baseline, or the sweep exits non-zero. A missing baseline
- * passes (bootstrap). Pair with --throughput to refresh the baseline
- * on pass; the throughput file is not written when the ratchet fails.
+ * Host speed is measured by perfbench, not here (docs/BENCHMARKING.md,
+ * "The perf gate").
  */
 
 #include <charconv>
@@ -51,14 +35,12 @@
 #include <cstring>
 #include <fstream>
 #include <limits>
-#include <map>
 #include <sstream>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "bench/suites.hh"
-#include "common/logging.hh"
 
 namespace
 {
@@ -66,61 +48,14 @@ namespace
 using namespace vic;
 using namespace vic::bench;
 
-/** Per-suite throughput from an archived vic-bench-throughput
- *  artifact: suite name -> (sim cycles, host seconds), summed over
- *  the suite's runs. Empty when the file is absent or unreadable. */
-std::map<std::string, std::pair<double, double>>
-loadThroughput(const std::string &path)
-{
-    std::map<std::string, std::pair<double, double>> by_suite;
-    std::ifstream in(path);
-    if (!in)
-        return by_suite;
-    std::ostringstream ss;
-    ss << in.rdbuf();
-    try {
-        const JsonValue v = JsonValue::parse(ss.str());
-        const JsonValue *runs = v.find("runs");
-        if (!runs)
-            return by_suite;
-        for (const JsonValue &run : runs->items()) {
-            const JsonValue *suite = run.find("suite");
-            const JsonValue *cycles = run.find("sim_cycles");
-            const JsonValue *host = run.find("host_seconds");
-            if (!suite || !cycles || !host)
-                continue;
-            auto &[c, s] = by_suite[suite->asString()];
-            c += cycles->asDouble();
-            s += host->asDouble();
-        }
-    } catch (const std::exception &) {
-        by_suite.clear();
-    }
-    return by_suite;
-}
-
 int
-listSuites(const std::string &throughput_path)
+listSuites()
 {
-    const auto throughput = loadThroughput(throughput_path);
-    std::printf("%-14s %-5s %-14s %s\n", "suite", "runs",
-                "cycles/host-s", "title");
+    std::printf("%-14s %-5s %s\n", "suite", "runs", "title");
     SuiteOptions opts;
     for (const Suite *s : allSuites()) {
-        std::string tput = "-";
-        auto it = throughput.find(s->name);
-        if (it != throughput.end() && it->second.second > 0) {
-            tput = format("%.3g",
-                          it->second.first / it->second.second);
-        }
-        std::printf("%-14s %-5zu %-14s %s\n", s->name.c_str(),
-                    s->specs(opts).size(), tput.c_str(),
-                    s->title.c_str());
-    }
-    if (throughput.empty()) {
-        std::printf("\n(no throughput data at %s — run a sweep with "
-                    "--throughput %s first)\n",
-                    throughput_path.c_str(), throughput_path.c_str());
+        std::printf("%-14s %-5zu %s\n", s->name.c_str(),
+                    s->specs(opts).size(), s->title.c_str());
     }
     return 0;
 }
@@ -128,21 +63,21 @@ listSuites(const std::string &throughput_path)
 int
 diffArtifacts(const std::string &path_a, const std::string &path_b)
 {
+    // Reports the path whose read failed, which may be either one.
     auto slurp = [](const std::string &path, std::string *out) {
         std::ifstream in(path);
-        if (!in)
+        if (!in) {
+            std::fprintf(stderr, "cannot read %s\n", path.c_str());
             return false;
+        }
         std::ostringstream ss;
         ss << in.rdbuf();
         *out = ss.str();
         return true;
     };
     std::string a, b;
-    if (!slurp(path_a, &a) || !slurp(path_b, &b)) {
-        std::fprintf(stderr, "cannot read %s\n",
-                     a.empty() ? path_a.c_str() : path_b.c_str());
+    if (!slurp(path_a, &a) || !slurp(path_b, &b))
         return 2;
-    }
     std::string why;
     try {
         if (artifactsEquivalent(a, b, &why)) {
@@ -158,80 +93,6 @@ diffArtifacts(const std::string &path_a, const std::string &path_b)
     }
     std::printf("DIFFER: %s\n", why.c_str());
     return 1;
-}
-
-/**
- * Throughput ratchet: compare this sweep's aggregate
- * cycles_per_host_second against an archived baseline, over the run
- * ids present in both (so adding or filtering suites cannot skew the
- * ratio). Returns true when the sweep is no more than 10% below the
- * baseline — or when no baseline/common runs exist (bootstrap).
- */
-bool
-ratchetCheck(const std::string &baseline_path,
-             const std::vector<RunOutcome> &outcomes)
-{
-    std::ifstream in(baseline_path);
-    if (!in) {
-        std::printf("ratchet: no baseline at %s (bootstrap pass)\n",
-                    baseline_path.c_str());
-        return true;
-    }
-    std::ostringstream ss;
-    ss << in.rdbuf();
-
-    // Baseline per-run throughput, keyed by run id.
-    std::map<std::string, std::pair<double, double>> base;
-    try {
-        const JsonValue v = JsonValue::parse(ss.str());
-        const JsonValue *runs = v.find("runs");
-        if (runs) {
-            for (const JsonValue &run : runs->items()) {
-                const JsonValue *id = run.find("id");
-                const JsonValue *cycles = run.find("sim_cycles");
-                const JsonValue *host = run.find("host_seconds");
-                if (id && cycles && host)
-                    base[id->asString()] = {cycles->asDouble(),
-                                            host->asDouble()};
-            }
-        }
-    } catch (const std::exception &e) {
-        std::printf("ratchet: unreadable baseline %s (%s) — "
-                    "bootstrap pass\n",
-                    baseline_path.c_str(), e.what());
-        return true;
-    }
-
-    double base_cycles = 0, base_seconds = 0;
-    double new_cycles = 0, new_seconds = 0;
-    std::size_t common = 0;
-    for (const RunOutcome &out : outcomes) {
-        if (!out.ok || out.wallSeconds <= 0)
-            continue;
-        const auto it = base.find(out.id);
-        if (it == base.end())
-            continue;
-        ++common;
-        base_cycles += it->second.first;
-        base_seconds += it->second.second;
-        new_cycles += double(std::uint64_t(out.result.cycles));
-        new_seconds += out.wallSeconds;
-    }
-    if (common == 0 || base_seconds <= 0 || new_seconds <= 0) {
-        std::printf("ratchet: no comparable runs vs %s "
-                    "(bootstrap pass)\n",
-                    baseline_path.c_str());
-        return true;
-    }
-
-    const double base_rate = base_cycles / base_seconds;
-    const double new_rate = new_cycles / new_seconds;
-    const double floor = 0.9 * base_rate;
-    std::printf("ratchet: %.3g cycles/host-s over %zu common run(s); "
-                "baseline %.3g (floor %.3g) -> %s\n",
-                new_rate, common, base_rate, floor,
-                new_rate >= floor ? "PASS" : "REGRESSION");
-    return new_rate >= floor;
 }
 
 /** The value of numeric flag @p flag: the whole of @p text must be a
@@ -263,8 +124,6 @@ main(int argc, char **argv)
     ExperimentEngine::Options engine_opts;
     SuiteOptions suite_opts;
     std::string json_path;
-    std::string throughput_path;
-    std::string ratchet_path;
     std::string filter;
     std::size_t trace_events = 0;
     bool do_list = false;
@@ -279,8 +138,6 @@ main(int argc, char **argv)
             return argv[++i];
         };
         if (arg == "--list") {
-            // Deferred until all flags are parsed, so a later
-            // --throughput PATH can point the column at an archive.
             do_list = true;
         } else if (arg == "--diff") {
             if (i + 2 >= argc) {
@@ -292,16 +149,10 @@ main(int argc, char **argv)
             filter = next();
         } else if (arg == "--jobs" || arg == "-j") {
             engine_opts.jobs = parseCount<unsigned>(arg, next());
-        } else if (arg == "--shards") {
-            engine_opts.shards = parseCount<unsigned>(arg, next());
-        } else if (arg == "--ratchet") {
-            ratchet_path = next();
         } else if (arg == "--smoke") {
             suite_opts.smoke = true;
         } else if (arg == "--json") {
             json_path = next();
-        } else if (arg == "--throughput") {
-            throughput_path = next();
         } else if (arg == "--trace") {
             trace_events = parseCount<std::size_t>(arg, next());
         } else if (arg == "--progress") {
@@ -309,9 +160,7 @@ main(int argc, char **argv)
         } else if (arg == "--help" || arg == "-h") {
             std::printf(
                 "usage: %s [--list] [--filter s1,s2] [--jobs N] "
-                "[--shards N] [--smoke] [--json PATH] "
-                "[--throughput PATH] [--ratchet BASELINE.json] "
-                "[--trace N] [--progress]\n"
+                "[--smoke] [--json PATH] [--trace N] [--progress]\n"
                 "       %s --diff A.json B.json\n",
                 argv[0], argv[0]);
             return 0;
@@ -322,11 +171,8 @@ main(int argc, char **argv)
         }
     }
 
-    if (do_list) {
-        return listSuites(throughput_path.empty()
-                              ? "BENCH_throughput.json"
-                              : throughput_path);
-    }
+    if (do_list)
+        return listSuites();
 
     // Gather the selected runs of every suite into one batch; remember
     // each suite's slice so its report sees exactly its outcomes.
@@ -365,9 +211,8 @@ main(int argc, char **argv)
     }
 
     std::printf("vic_bench: %zu run(s) across %zu suite(s), "
-                "--jobs %u, --shards %u%s\n\n",
+                "--jobs %u%s\n\n",
                 batch.size(), slices.size(), engine_opts.jobs,
-                engine_opts.shards,
                 suite_opts.smoke ? ", --smoke" : "");
 
     const auto t0 = std::chrono::steady_clock::now();
@@ -408,7 +253,6 @@ main(int argc, char **argv)
     if (!json_path.empty()) {
         ArtifactMeta meta;
         meta.jobs = engine_opts.jobs;
-        meta.shards = engine_opts.shards;
         meta.smoke = suite_opts.smoke;
         meta.filter = filter;
         meta.wallSeconds = wall;
@@ -418,25 +262,6 @@ main(int argc, char **argv)
             return 2;
         }
         std::printf("wrote artifact: %s\n", json_path.c_str());
-    }
-    // The ratchet gates BEFORE the throughput archive is refreshed: a
-    // regressing sweep must not overwrite the baseline it failed
-    // against.
-    if (!ratchet_path.empty() && !ratchetCheck(ratchet_path, outcomes))
-        return 1;
-    if (!throughput_path.empty()) {
-        ArtifactMeta meta;
-        meta.jobs = engine_opts.jobs;
-        meta.shards = engine_opts.shards;
-        meta.smoke = suite_opts.smoke;
-        meta.filter = filter;
-        meta.wallSeconds = wall;
-        if (!writeThroughputFile(throughput_path, meta, outcomes)) {
-            std::fprintf(stderr, "cannot write %s\n",
-                         throughput_path.c_str());
-            return 2;
-        }
-        std::printf("wrote throughput: %s\n", throughput_path.c_str());
     }
     return ok ? 0 : 1;
 }
