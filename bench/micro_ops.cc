@@ -5,7 +5,7 @@
  *
  *  - cache hit/miss/flush/purge paths of the simulator,
  *  - coherence-bus snoops that miss or hit in the peer cache,
- *  - the CacheControl bookkeeping (bit-vector ops, protection walk),
+ *  - the CacheControl bookkeeping (colour-mask ops, protection walk),
  *  - consistency-fault round trips,
  *  - TLB translation,
  *  - ranged CPU loads and page copies (line runs).
@@ -19,7 +19,7 @@
 
 #include "cache/coherence.hh"
 #include "common/arena.hh"
-#include "common/bitvector.hh"
+#include "common/colour_mask.hh"
 #include "core/classic_pmap.hh"
 #include "core/lazy_pmap.hh"
 #include "machine/cpu.hh"
@@ -95,6 +95,28 @@ BM_CacheFlushPageSparse(benchmark::State &state)
 }
 BENCHMARK(BM_CacheFlushPageSparse);
 
+void
+BM_FlushPageOneResident(benchmark::State &state)
+{
+    // The alias-fault page op in a warm cache: 1 of the page's 128
+    // lines is present (dirty), and every other set the page indexes
+    // holds a line of another frame, so a scan of the page's lines
+    // would tag-compare all 128 while the resident-line walk visits
+    // the one.
+    Machine m{MachineParams::hp720()};
+    Cache &c = m.dcache();
+    const CacheGeometry &g = c.geometry();
+    const std::uint64_t span = g.setSpanBytes();
+    for (std::uint64_t a = 0; a < g.pageBytes(); a += g.lineBytes())
+        c.read(VirtAddr(a), PhysAddr(span + a));
+    std::uint32_t v = 0;
+    for (auto _ : state) {
+        c.write(VirtAddr(2048), PhysAddr(2048), ++v);
+        benchmark::DoNotOptimize(c.flushPage(VirtAddr(0), PhysAddr(0)));
+    }
+}
+BENCHMARK(BM_FlushPageOneResident);
+
 /** A 2-CPU MESI machine: bus reads from CPU 0 snoop CPU 1's caches. */
 MachineParams
 twoCpuMesi()
@@ -131,65 +153,21 @@ BM_BusSnoopHit(benchmark::State &state)
 BENCHMARK(BM_BusSnoopHit);
 
 void
-BM_BitVectorStaleUpdate(benchmark::State &state)
+BM_ColourMaskStaleUpdate(benchmark::State &state)
 {
     // The hot bookkeeping of Figure 1's fourth stanza: or-and-clear of
-    // the mapped/stale vectors.
-    BitVector mapped(std::uint32_t(state.range(0)));
-    BitVector stale(std::uint32_t(state.range(0)));
+    // the mapped/stale masks, one word each at every legal width.
+    ColourMask mapped(std::uint32_t(state.range(0)));
+    ColourMask stale(std::uint32_t(state.range(0)));
     mapped.set(3);
     for (auto _ : state) {
-        stale.orWith(mapped);
+        stale |= mapped;
         mapped.clearAll();
         mapped.set(3);
         benchmark::DoNotOptimize(stale.count());
     }
 }
-BENCHMARK(BM_BitVectorStaleUpdate)->Arg(16)->Arg(64)->Arg(256);
-
-void
-BM_CacheTagProbeHit(benchmark::State &state)
-{
-    // The SoA tag probe in isolation: a 2-way geometry so findWay()
-    // walks more than one way-slot per probe. Layout regressions in
-    // the column store (cache.hh) surface here before any workload
-    // notices.
-    MachineParams p = MachineParams::hp720();
-    p.dcacheWays = 2;
-    Machine m{p};
-    Cache &c = m.dcache();
-    c.read(VirtAddr(0), PhysAddr(0));
-    c.read(VirtAddr(64 * 1024), PhysAddr(64 * 1024));
-    bool flip = false;
-    for (auto _ : state) {
-        // Both lines stay resident in the two ways: every read is a
-        // pure probe-hit, alternating the matching way.
-        benchmark::DoNotOptimize(
-            flip ? c.read(VirtAddr(64 * 1024), PhysAddr(64 * 1024))
-                 : c.read(VirtAddr(0), PhysAddr(0)));
-        flip = !flip;
-    }
-}
-BENCHMARK(BM_CacheTagProbeHit);
-
-void
-BM_ArenaAllocRelease(benchmark::State &state)
-{
-    // Steady-state arena churn: after warm-up every alloc() pops the
-    // slot the previous release() pushed — the page-table's
-    // enter/remove pattern under mapping turnover.
-    struct Rec
-    {
-        std::uint64_t a = 0, b = 0;
-    };
-    Arena<Rec> arena;
-    for (auto _ : state) {
-        Rec *r = arena.alloc();
-        benchmark::DoNotOptimize(r);
-        arena.release(r);
-    }
-}
-BENCHMARK(BM_ArenaAllocRelease);
+BENCHMARK(BM_ColourMaskStaleUpdate)->Arg(16)->Arg(64);
 
 void
 BM_PageTableEnterRemove(benchmark::State &state)
@@ -221,6 +199,33 @@ BM_TlbTranslateHit(benchmark::State &state)
     }
 }
 BENCHMARK(BM_TlbTranslateHit);
+
+void
+BM_TlbIndexChurn(benchmark::State &state)
+{
+    // Refills and shootdowns on a full TLB: pages cycle through twice
+    // the capacity, so each translate misses, evicts the LRU entry and
+    // re-indexes its slot, and each shootdown of a page half a cycle
+    // back erases from the index.
+    Machine m{MachineParams::hp720()};
+    Tlb &tlb = m.tlb();
+    const std::uint32_t pages = 2 * m.params().tlbEntries;
+    const auto page = [&](std::uint64_t i) {
+        return SpaceVa(1, VirtAddr(i % pages * m.params().pageBytes));
+    };
+    for (std::uint32_t i = 0; i < pages; ++i) {
+        m.pageTable().enter(page(i), i % m.params().numFrames,
+                            Protection::readWrite());
+        tlb.translate(page(i));
+    }
+    std::uint64_t i = 0;
+    for (auto _ : state) {
+        benchmark::DoNotOptimize(tlb.translate(page(i)));
+        tlb.invalidatePage(page(i + pages / 2));
+        ++i;
+    }
+}
+BENCHMARK(BM_TlbIndexChurn);
 
 void
 BM_CpuStoreHit(benchmark::State &state)

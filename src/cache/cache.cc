@@ -4,7 +4,7 @@
 #include "common/logging.hh"
 
 #include <algorithm>
-#include <cstring>
+#include <bit>
 
 namespace vic
 {
@@ -34,8 +34,12 @@ Cache::Cache(std::string cache_name, const CacheGeometry &geom,
       lineTag(lineCols.column<1>()), lineUse(lineCols.column<2>()),
       data(std::uint64_t(geo.numLines()) * geo.wordsPerLine(), 0),
       copies(memory.sizeBytes() / geo.lineBytes()),
+      resident((copies.size() + 63) / 64),
       counters(stat_set.registerTable<kCacheCounters>(cacheName + "."))
 {
+    // lineCols value-initialises the state column: every line starts
+    // Invalid.
+    static_assert(MesiState::Invalid == MesiState{0});
     // A physical line has at most one copy per candidate set.
     if (geo.spanColours() > 65535)
         vic_fatal("%s: %u span colours overflow the snoop filter",
@@ -116,8 +120,10 @@ Cache::fill(std::uint32_t line_id, PhysAddr pa, bool for_write)
     mem.readWords(base, lineData(line_id), geo.wordsPerLine());
     lineState[line_id] =
         shared ? MesiState::Shared : MesiState::Exclusive;
-    lineTag[line_id] = pa.lineNumber(geo.lineBytes());
-    ++copies[lineTag[line_id]];
+    const std::uint64_t tag = pa.lineNumber(geo.lineBytes());
+    lineTag[line_id] = tag;
+    if (copies[tag]++ == 0)
+        resident[tag / 64] |= std::uint64_t(1) << (tag % 64);
     ++counters[CacheStat::Fills];
     clk.advance(costs.missPenalty);
 }
@@ -300,45 +306,36 @@ Cache::removeLine(VirtAddr va, PhysAddr pa, bool write_back)
 std::uint32_t
 Cache::removePage(VirtAddr page_va, PhysAddr page_pa, bool write_back)
 {
-    // Line k of the page sits in set (first + k) mod numSets and is
-    // tagged tag0 + k.
+    // Line k of the page is physical line tag0 + k; a copy of it at
+    // this alignment sits in set (first + k) mod numSets. Only lines
+    // with a copy somewhere have their resident bit set, so walk
+    // those, in ascending k.
     const std::uint32_t lines = geo.linesPerPage();
     const std::uint32_t ways = geo.associativity();
     const std::uint32_t first = geo.setIndex(indexBits(page_va, page_pa));
     const std::uint64_t tag0 = page_pa.lineNumber(geo.lineBytes());
+    const std::uint64_t tag_end = std::min<std::uint64_t>(
+        tag0 + lines, copies.size());
     std::uint32_t present = 0;
-    auto remove = [&](std::uint32_t id) {
-        if (write_back && lineDirty(id))
-            writeBack(id);
-        dropLine(id);
-        ++present;
-    };
-
-    if (first + lines > geo.numSets()) {
-        // The sets wrap (a cache smaller than a page): probe each line.
-        for (std::uint32_t k = 0; k < lines; ++k) {
-            const std::uint32_t set = (first + k) & (geo.numSets() - 1);
-            const int way = findWay(set, page_pa.plus(k * geo.lineBytes()));
-            if (way >= 0)
-                remove(lineId(set, static_cast<std::uint32_t>(way)));
-        }
-    } else {
-        // The page's lines are one contiguous run of the state column:
-        // skip each 8-line word with no valid line; scan a short tail.
-        static_assert(MesiState::Invalid == MesiState{0});
-        const std::uint32_t begin = first * ways;
-        const std::uint32_t end = begin + lines * ways;
-        for (std::uint32_t at = begin; at < end; at += 8) {
-            std::uint64_t word = 1;
-            if (end - at >= 8)
-                std::memcpy(&word, lineState + at, 8);
-            if (word == 0)
-                continue;
-            const std::uint32_t stop = std::min(at + 8, end);
-            for (std::uint32_t id = at; id < stop; ++id) {
-                if (lineValid(id) &&
-                    lineTag[id] == tag0 + (id / ways - first))
-                    remove(id);
+    for (std::uint64_t at = tag0; at < tag_end; at = (at | 63) + 1) {
+        // The bits of word at/64 from `at` to tag_end. Removing line k
+        // clears at most bit k, already taken from the copy.
+        std::uint64_t word = resident[at / 64] >> (at % 64) << (at % 64);
+        if (tag_end - at / 64 * 64 < 64)
+            word &= (std::uint64_t(1) << (tag_end % 64)) - 1;
+        for (; word != 0; word &= word - 1) {
+            const std::uint64_t tag =
+                at / 64 * 64 + std::uint64_t(std::countr_zero(word));
+            const std::uint32_t set = static_cast<std::uint32_t>(
+                (first + (tag - tag0)) & (geo.numSets() - 1));
+            for (std::uint32_t id = set * ways; id < (set + 1) * ways;
+                 ++id) {
+                if (lineValid(id) && lineTag[id] == tag) {
+                    if (write_back && lineDirty(id))
+                        writeBack(id);
+                    dropLine(id);
+                    ++present;
+                }
             }
         }
     }
@@ -352,6 +349,7 @@ Cache::purgeAll()
     std::fill(lineState, lineState + geo.numLines(),
               MesiState::Invalid);
     copies.clear();
+    resident.clear();
 }
 
 void
@@ -414,6 +412,16 @@ Cache::copyCountsConsistent() const
     for (std::uint32_t id = 0; id < geo.numLines(); ++id) {
         if (lineValid(id))
             ++recount[lineTag[id]];
+    }
+    for (std::uint64_t tag = 0; tag < recount.size(); ++tag) {
+        const bool bit = (resident[tag / 64] >> (tag % 64)) & 1;
+        if (bit != (recount[tag] > 0))
+            return false;
+    }
+    for (std::uint64_t tag = recount.size(); tag < resident.size() * 64;
+         ++tag) {
+        if ((resident[tag / 64] >> (tag % 64)) & 1)
+            return false;
     }
     return std::equal(recount.begin(), recount.end(), copies.begin());
 }

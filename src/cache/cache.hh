@@ -344,7 +344,8 @@ class Cache
     Probe probe(VirtAddr va, PhysAddr pa) const;
 
     /** Recount every valid line's tag by brute force and compare the
-     *  result with the snoop filter's copy counts (for tests). */
+     *  result with the snoop filter's copy counts and the
+     *  resident-line bitmap (for tests). */
     bool copyCountsConsistent() const;
 
   private:
@@ -384,6 +385,15 @@ class Cache
      * One entry per line of physical memory.
      */
     ZeroedArray<std::uint16_t> copies;
+
+    /**
+     * Resident-line bitmap: bit l is set iff copies[l] > 0, so the
+     * linesPerPage-bit run of a frame says which of its lines the
+     * cache holds (in any set). Set and cleared only where copies[]
+     * crosses 0 <-> 1 (fill(), dropLine()) and by purgeAll(); a page
+     * op visits the set bits instead of every line of the page.
+     */
+    ZeroedArray<std::uint64_t> resident;
 
     bool selfSnoop = false;
     Cycles selfSnoopPenalty = 0;
@@ -466,7 +476,9 @@ class Cache
     void
     dropLine(std::uint32_t id)
     {
-        --copies[lineTag[id]];
+        const std::uint64_t tag = lineTag[id];
+        if (--copies[tag] == 0)
+            resident[tag / 64] &= ~(std::uint64_t(1) << (tag % 64));
         lineState[id] = MesiState::Invalid;
     }
 
@@ -478,8 +490,9 @@ class Cache
     /** Shared flush/purge implementation. */
     bool removeLine(VirtAddr va, PhysAddr pa, bool write_back);
 
-    /** Shared flushPage/purgePage implementation, one pass over the
-     *  page's lines. @return number of lines that were present. */
+    /** Shared flushPage/purgePage implementation: one pass over the
+     *  page's resident lines, in line order. @return number of lines
+     *  that were present. */
     std::uint32_t removePage(VirtAddr page_va, PhysAddr page_pa,
                              bool write_back);
 

@@ -173,6 +173,23 @@ struct SpaceVa
 
     constexpr auto operator<=>(const SpaceVa &) const = default;
 
+    /** Fixed multiplicative mix (splitmix64 finaliser) of the packed
+     *  pair: host-independent by construction, so a table indexed by
+     *  it iterates and probes the same way on every host. The page
+     *  table's buckets and the TLB's index both take their slot from
+     *  its low bits. */
+    constexpr std::uint64_t
+    mix() const
+    {
+        std::uint64_t x = hashKey();
+        x ^= x >> 30;
+        x *= 0xbf58476d1ce4e5b9ULL;
+        x ^= x >> 27;
+        x *= 0x94d049bb133111ebULL;
+        x ^= x >> 31;
+        return x;
+    }
+
   private:
     /** The pair packed into one word for hashing: the space above bit
      *  48, xor-ed over the address. */
@@ -181,7 +198,6 @@ struct SpaceVa
     { return (std::uint64_t(space) << 48) ^ va.value; }
 
     friend struct std::hash<SpaceVa>;
-    friend class PageTable;
 };
 
 /** Lower-case hex digits of an address with no prefix, for "%s" in

@@ -70,24 +70,32 @@ LazyPmap::cacheStateProt(const CacheStateVector &d,
 {
     Protection p;
 
+    // One word per colour set; cd_bit / ci_bit select this mapping's
+    // cache pages (and check the colours against the caches).
+    const std::uint64_t cd_bit = d.mapped.bitOf(cd);
+    const std::uint64_t ci_bit = i.mapped.bitOf(ci);
+    const std::uint64_t d_mapped = d.mapped.bits();
+
     // Reads are safe iff this mapping's data cache page is mapped and
     // not stale. (While some cache page is dirty it is the only mapped
     // one, so unaligned reads are automatically denied.)
-    p.read = d.mapped.test(cd) && !d.stale.test(cd);
+    p.read = (d_mapped & ~d.stale.bits() & cd_bit) != 0;
 
     // Instruction fetches fill the instruction cache from memory, so
     // they are additionally unsafe while ANY data cache page is dirty
     // (memory would be stale) — instructions never align with data.
-    p.execute = i.mapped.test(ci) && !i.stale.test(ci) && !d.cacheDirty;
+    p.execute =
+        (i.mapped.bits() & ~i.stale.bits() & ci_bit) != 0 && !d.cacheDirty;
 
     // Writes are safe if the page is already dirty through this
     // aligned cache page, or — with the modified-bit optimisation — if
-    // this is the unique mapped data cache page and the page has no
-    // live instruction-cache presence to invalidate.
-    const bool dirty_here = d.cacheDirty && d.mapped.test(cd);
+    // this is the unique mapped data cache page (mapped == {cd}), it
+    // is not stale, and the page has no live instruction-cache
+    // presence to invalidate.
+    const bool dirty_here = d.cacheDirty && (d_mapped & cd_bit) != 0;
     const bool modbit_ok = use_modified_bit && !d.cacheDirty &&
-        d.mapped.test(cd) && !d.stale.test(cd) &&
-        d.mapped.exactlyOne() && i.mapped.none();
+        d_mapped == cd_bit && (d.stale.bits() & cd_bit) == 0 &&
+        i.mapped.none();
     p.write = dirty_here || modbit_ok;
 
     return p;
@@ -107,7 +115,7 @@ LazyPmap::applyProtections(PhysPageInfo &info)
         setHardwareProt(m.va, m.vmProt.intersect(cacheProtFor(info, m)));
 }
 
-std::vector<LazyPmap::PlannedOp>
+LazyPmap::PlannedOps
 LazyPmap::planCacheControl(CacheStateVector &dstate,
                            CacheStateVector &istate, MemOp op,
                            std::optional<CachePageId> d_target,
@@ -116,7 +124,7 @@ LazyPmap::planCacheControl(CacheStateVector &dstate,
                            bool need_data, bool use_need_data,
                            bool use_will_overwrite)
 {
-    std::vector<PlannedOp> planned;
+    PlannedOps planned;
     const bool cpu_op = op == MemOp::CpuRead || op == MemOp::CpuWrite;
 
     // --- Stanza 2: displace the dirty data cache page unless the
@@ -171,9 +179,9 @@ LazyPmap::planCacheControl(CacheStateVector &dstate,
     // cache page (in both caches) stale and unmapped; a CPU write then
     // re-maps its own cache page as the unique dirty one.
     if (op == MemOp::DmaWrite || op == MemOp::CpuWrite) {
-        dstate.stale.orWith(dstate.mapped);
+        dstate.stale |= dstate.mapped;
         dstate.mapped.clearAll();
-        istate.stale.orWith(istate.mapped);
+        istate.stale |= istate.mapped;
         istate.mapped.clearAll();
         if (op == MemOp::CpuWrite) {
             dstate.stale.reset(*d_target);
@@ -221,7 +229,7 @@ LazyPmap::cacheControl(FrameId frame, PhysPageInfo &info, MemOp op,
     // planned operations depend only on the pre-operation state, so
     // executing them after the full plan is equivalent to the
     // interleaved form.
-    const std::vector<PlannedOp> planned = planCacheControl(
+    const PlannedOps planned = planCacheControl(
         info.dstate, info.istate, op, cd, ci, access, will_overwrite,
         need_data, cfg.useNeedData, cfg.useWillOverwrite);
 

@@ -30,10 +30,12 @@
 #ifndef VIC_CORE_LAZY_PMAP_HH
 #define VIC_CORE_LAZY_PMAP_HH
 
+#include <array>
 #include <optional>
 #include <unordered_map>
 #include <vector>
 
+#include "common/logging.hh"
 #include "core/phys_page_info.hh"
 #include "core/pmap.hh"
 
@@ -60,6 +62,30 @@ class LazyPmap : public Pmap
         bool operator==(const PlannedOp &) const = default;
     };
 
+    /** The ops of one CacheControl call, in order: at most one from
+     *  stanza 2 (the dirty page) and one from stanza 3 (the stale
+     *  target), so a fixed two-slot list with a checked bound. */
+    class PlannedOps
+    {
+      public:
+        static constexpr std::size_t kCapacity = 2;
+
+        void
+        push_back(const PlannedOp &op)
+        {
+            vic_assert(n < kCapacity, "more than %zu planned ops",
+                       kCapacity);
+            ops[n++] = op;
+        }
+
+        const PlannedOp *begin() const { return ops.data(); }
+        const PlannedOp *end() const { return ops.data() + n; }
+
+      private:
+        std::array<PlannedOp, kCapacity> ops{};
+        std::size_t n = 0;
+    };
+
     /**
      * The CacheControl decision procedure (Figure 1, stanzas 2-5) as a
      * pure function of the Table 3 state: advances @p dstate /
@@ -70,7 +96,7 @@ class LazyPmap : public Pmap
      * protocol verifier (vic::verify), so the abstract model cannot
      * drift from the implementation.
      */
-    static std::vector<PlannedOp> planCacheControl(
+    static PlannedOps planCacheControl(
         CacheStateVector &dstate, CacheStateVector &istate, MemOp op,
         std::optional<CachePageId> d_target,
         std::optional<CachePageId> i_target, AccessType access,

@@ -1,6 +1,7 @@
 #include "core/phys_page_info.hh"
 
 #include <algorithm>
+#include <bit>
 
 #include "common/logging.hh"
 
@@ -39,10 +40,9 @@ CacheStateVector::dirtyColour() const
 void
 CacheStateVector::checkInvariants() const
 {
-    for (std::uint32_t c = 0; c < mapped.size(); ++c) {
-        vic_assert(!(mapped.test(c) && stale.test(c)),
-                   "colour %u both mapped and stale", c);
-    }
+    const std::uint64_t both = mapped.bits() & stale.bits();
+    vic_assert(both == 0, "colour %d both mapped and stale",
+               std::countr_zero(both));
     if (cacheDirty) {
         vic_assert(mapped.count() == 1,
                    "cacheDirty with %u mapped colours (must be 1)",

@@ -20,6 +20,16 @@
  *      Present  |   true    |  false   |   false
  *      Dirty    |   true    |  false   |   true
  *      Stale    |   false   |  true    |     -
+ *
+ * The number of cache pages is small (cache size / page size, e.g. 64
+ * for a 256 KB cache with 4 KB pages), so mapped and stale are each
+ * one machine word (common/colour_mask.hh) and every update the
+ * algorithm makes — OR stale with mapped, clear, find-first, population
+ * count, the invariant check — is a handful of word instructions. That
+ * cheapness is itself one of the paper's claims ("the data structures
+ * used by the algorithm lend themselves to efficient state
+ * modification") and is measured by the micro_ops bench
+ * (BM_ColourMaskStaleUpdate, BM_StateDecode).
  */
 
 #ifndef VIC_CORE_PHYS_PAGE_INFO_HH
@@ -29,7 +39,7 @@
 #include <optional>
 #include <vector>
 
-#include "common/bitvector.hh"
+#include "common/colour_mask.hh"
 #include "common/types.hh"
 #include "core/cache_page_state.hh"
 
@@ -48,8 +58,8 @@ class CacheStateVector
 
     std::uint32_t numColours() const { return mapped.size(); }
 
-    BitVector mapped;
-    BitVector stale;
+    ColourMask mapped;
+    ColourMask stale;
     bool cacheDirty = false;
 
     /** Decode the Table 3 state of cache page @p colour. */
@@ -60,9 +70,9 @@ class CacheStateVector
      *  cacheDirty. */
     CachePageId dirtyColour() const;
 
-    /** Check the encoding invariants: mapped and stale are disjoint,
-     *  and cacheDirty implies exactly one mapped bit. Panics on
-     *  violation. */
+    /** Check the encoding invariants, one word operation each: mapped
+     *  and stale are disjoint, and cacheDirty implies exactly one
+     *  mapped bit. Panics on violation. */
     void checkInvariants() const;
 
     /** Reset to the all-empty (power-up / freshly-cleaned) state. */

@@ -1,5 +1,8 @@
 #include "machine/machine_params.hh"
 
+#include <utility>
+
+#include "common/colour_mask.hh"
 #include "common/logging.hh"
 
 namespace vic
@@ -36,6 +39,16 @@ MachineParams::check() const
         cpuCoherence == CpuCoherence::None)
         vic_fatal("ifetch coherence needs the MESI bus on a "
                   "multiprocessor");
+    // The consistency state keeps one word of colours per page and
+    // cache (common/colour_mask.hh).
+    for (const auto &[name, geo] :
+         {std::pair{"data", dcacheGeometry()},
+          std::pair{"instruction", icacheGeometry()}}) {
+        if (geo.numColours() > ColourMask::kMaxColours)
+            vic_fatal("%s cache has %u colours: more than %u colours "
+                      "are not supported",
+                      name, geo.numColours(), ColourMask::kMaxColours);
+    }
 }
 
 CacheGeometry

@@ -113,22 +113,9 @@ class PageTable
     SpaceVa canonical(SpaceVa key) const
     { return SpaceVa(key.space, pageBase(key.va)); }
 
-    /** Fixed multiplicative mix (splitmix64 finaliser) of the
-     *  canonical key — host-independent by construction. */
-    static std::uint64_t
-    mix(SpaceVa key)
-    {
-        std::uint64_t x = key.hashKey();
-        x ^= x >> 30;
-        x *= 0xbf58476d1ce4e5b9ULL;
-        x ^= x >> 27;
-        x *= 0x94d049bb133111ebULL;
-        x ^= x >> 31;
-        return x;
-    }
-
+    /** Bucket of a canonical key, by SpaceVa::mix(). */
     std::size_t bucketOf(SpaceVa key) const
-    { return mix(key) & (buckets.size() - 1); }
+    { return key.mix() & (buckets.size() - 1); }
 
     Node *findNode(SpaceVa canon) const;
     void grow();

@@ -1,5 +1,8 @@
 #include "tlb/tlb.hh"
 
+#include <algorithm>
+#include <bit>
+
 #include "common/logging.hh"
 
 namespace vic
@@ -9,18 +12,39 @@ Tlb::Tlb(std::uint32_t num_entries, Cycles miss_penalty, PageTable &table,
          CycleClock &clock, StatSet &stat_set)
     : capacity(num_entries), missPenalty(miss_penalty), pageTable(table),
       clk(clock), entries(num_entries),
+      slotIndex(std::bit_ceil(2 * std::uint64_t(num_entries)), kNoSlot),
+      indexMask(static_cast<std::uint32_t>(slotIndex.size() - 1)),
       counters(stat_set.registerTable<kTlbCounters>())
 {
     vic_assert(num_entries > 0, "TLB needs at least one entry");
-    slotIndex.reserve(num_entries * 2);
+}
+
+void
+Tlb::indexErase(std::uint32_t pos)
+{
+    std::uint32_t hole = pos;
+    for (std::uint32_t at = (hole + 1) & indexMask;
+         slotIndex[at] != kNoSlot; at = (at + 1) & indexMask) {
+        // The member at `at` may fill the hole unless its home lies
+        // cyclically in (hole, at]: then it would move before its home
+        // and lookups starting there would miss it.
+        const std::uint32_t home =
+            static_cast<std::uint32_t>(entries[slotIndex[at]].page.mix()) &
+            indexMask;
+        if (((at - home) & indexMask) >= ((at - hole) & indexMask)) {
+            slotIndex[hole] = slotIndex[at];
+            hole = at;
+        }
+    }
+    slotIndex[hole] = kNoSlot;
 }
 
 PageTableEntry *
 Tlb::translateFull(SpaceVa page)
 {
-    auto it = slotIndex.find(page);
-    if (it != slotIndex.end()) {
-        Entry &e = entries[it->second];
+    std::uint32_t pos = indexPos(page);
+    if (slotIndex[pos] != kNoSlot) {
+        Entry &e = entries[slotIndex[pos]];
         e.lastUse = ++useTick;
         ++counters[TlbStat::Hits];
         mru = &e;
@@ -46,14 +70,15 @@ Tlb::translateFull(SpaceVa page)
             victim = &e;
         }
     }
-    if (victim->valid)
-        slotIndex.erase(victim->page);
+    if (victim->valid) {
+        indexErase(indexPos(victim->page));
+        pos = indexPos(page);  // the erase may have shifted the chain
+    }
     victim->valid = true;
     victim->page = page;
     victim->lastUse = ++useTick;
     victim->pte = pte;
-    slotIndex.emplace(
-        page, static_cast<std::uint32_t>(victim - entries.data()));
+    slotIndex[pos] = static_cast<std::uint32_t>(victim - entries.data());
     mru = victim;
     return pte;
 }
@@ -61,9 +86,9 @@ Tlb::translateFull(SpaceVa page)
 void
 Tlb::invalidateSlot(Entry &e)
 {
+    indexErase(indexPos(e.page));
     e.valid = false;
     e.pte = nullptr;
-    slotIndex.erase(e.page);
     if (mru == &e)
         mru = nullptr;
 }
@@ -72,9 +97,9 @@ void
 Tlb::invalidatePage(SpaceVa key)
 {
     const SpaceVa page(key.space, pageTable.pageBase(key.va));
-    auto it = slotIndex.find(page);
-    if (it != slotIndex.end())
-        invalidateSlot(entries[it->second]);
+    const std::uint32_t slot = slotIndex[indexPos(page)];
+    if (slot != kNoSlot)
+        invalidateSlot(entries[slot]);
 }
 
 void
@@ -93,7 +118,7 @@ Tlb::invalidateAll()
         e.valid = false;
         e.pte = nullptr;
     }
-    slotIndex.clear();
+    std::fill(slotIndex.begin(), slotIndex.end(), kNoSlot);
     mru = nullptr;
 }
 

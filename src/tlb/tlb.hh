@@ -26,16 +26,20 @@
  *
  * The hot-path structure is a 1-entry MRU micro-cache (consecutive
  * accesses to one page resolve with a single compare — no hashing, no
- * scan) backed by a page -> slot hash index; the full-associativity
- * LRU semantics (victim = first invalid slot, else least recent) are
- * unchanged and pinned by tests/tlb_test.cc.
+ * scan) backed by a flat page -> slot index: a power-of-two array of
+ * slot numbers, at most half full, probed linearly from the page's
+ * SpaceVa::mix() home, with backward-shift deletion so no tombstones
+ * build up. A lookup, refill or shootdown touches one short probe
+ * chain and never the host allocator. The full-associativity LRU
+ * semantics (victim = first invalid slot, else least recent) are
+ * unchanged and pinned by tests/tlb_test.cc, which also checks the
+ * index against a linear-scan reference model.
  */
 
 #ifndef VIC_TLB_TLB_HH
 #define VIC_TLB_TLB_HH
 
 #include <cstdint>
-#include <unordered_map>
 #include <vector>
 
 #include "common/cycle_clock.hh"
@@ -103,10 +107,10 @@ class Tlb
         const SpaceVa page(key.space, pageTable.pageBase(key.va));
         const Entry *e = mru;
         if (e == nullptr || !e->valid || e->page != page) {
-            auto it = slotIndex.find(page);
-            if (it == slotIndex.end())
+            const std::uint32_t slot = slotIndex[indexPos(page)];
+            if (slot == kNoSlot)
                 return {};
-            e = &entries[it->second];
+            e = &entries[slot];
         }
         return {e->pte, static_cast<std::uint32_t>(e - entries.data())};
     }
@@ -172,11 +176,35 @@ class Tlb
      *  pointer is stable. Cleared by every invalidation. */
     Entry *mru = nullptr;
 
-    /** page -> slot in entries, maintained alongside entry validity.
-     *  Lookup-only (never iterated), so determinism is unaffected. */
-    std::unordered_map<SpaceVa, std::uint32_t> slotIndex;
+    /** Free position of slotIndex. */
+    static constexpr std::uint32_t kNoSlot = ~std::uint32_t(0);
+
+    /** page -> slot in entries (see file doc), holding exactly the
+     *  valid entries. Lookup-only (never iterated), so determinism is
+     *  unaffected. */
+    std::vector<std::uint32_t> slotIndex;
+    std::uint32_t indexMask;
 
     Counters<kTlbCounters> counters;
+
+    /** Position of slotIndex at which @p page's probe chain holds its
+     *  slot, or else ends (a kNoSlot position). */
+    std::uint32_t
+    indexPos(SpaceVa page) const
+    {
+        std::uint32_t pos = static_cast<std::uint32_t>(page.mix()) &
+                            indexMask;
+        for (;;) {
+            const std::uint32_t slot = slotIndex[pos];
+            if (slot == kNoSlot || entries[slot].page == page)
+                return pos;
+            pos = (pos + 1) & indexMask;
+        }
+    }
+
+    /** Empty position @p pos of slotIndex, then close the gap by
+     *  shifting later members of the chain back toward their homes. */
+    void indexErase(std::uint32_t pos);
 
     /** Hit-via-index and miss/refill paths (out of line). */
     PageTableEntry *translateFull(SpaceVa page);

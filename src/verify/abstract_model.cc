@@ -155,24 +155,16 @@ makeVec(std::uint8_t mapped, std::uint8_t stale, bool dirty,
         std::uint32_t colours)
 {
     CacheStateVector v(colours);
-    for (std::uint32_t c = 0; c < colours; ++c) {
-        if (mapped & (1u << c))
-            v.mapped.set(c);
-        if (stale & (1u << c))
-            v.stale.set(c);
-    }
+    v.mapped = ColourMask(colours, mapped);
+    v.stale = ColourMask(colours, stale);
     v.cacheDirty = dirty;
     return v;
 }
 
 std::uint8_t
-maskOf(const BitVector &b)
+maskOf(const ColourMask &m)
 {
-    std::uint8_t m = 0;
-    for (std::uint32_t c = 0; c < b.size(); ++c)
-        if (b.test(c))
-            m |= static_cast<std::uint8_t>(1u << c);
-    return m;
+    return static_cast<std::uint8_t>(m.bits());
 }
 
 } // namespace
@@ -549,7 +541,7 @@ AbstractSimulator::lazyCacheControl(ModelState &s, MemOp op,
         ci = icol(*slot);
     }
 
-    const std::vector<LazyPmap::PlannedOp> planned =
+    const LazyPmap::PlannedOps planned =
         LazyPmap::planCacheControl(d, i, op, cd, ci, access,
                                    will_overwrite, need_data,
                                    cfg.useNeedData,

@@ -19,7 +19,7 @@
 
 // Support library
 #include "common/arena.hh"
-#include "common/bitvector.hh"
+#include "common/colour_mask.hh"
 #include "common/column_store.hh"
 #include "common/cycle_clock.hh"
 #include "common/event_log.hh"

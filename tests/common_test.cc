@@ -8,7 +8,7 @@
 #include <string>
 #include <vector>
 
-#include "common/bitvector.hh"
+#include "common/colour_mask.hh"
 #include "common/event_log.hh"
 #include "common/json_writer.hh"
 #include "common/logging.hh"
@@ -23,101 +23,105 @@ namespace vic
 namespace
 {
 
-TEST(BitVectorTest, StartsClear)
+/** Widths the simulator uses: one colour (physical indexing), the
+ *  720's 16, and the one-word maximum. */
+class ColourMaskTest : public ::testing::TestWithParam<std::uint32_t>
 {
-    BitVector v(130);
-    EXPECT_EQ(v.size(), 130u);
-    EXPECT_TRUE(v.none());
-    EXPECT_FALSE(v.any());
-    EXPECT_EQ(v.count(), 0u);
-    EXPECT_EQ(v.findFirst(), 130u);
-    EXPECT_EQ(v.findFirstClear(), 0u);
+};
+
+TEST_P(ColourMaskTest, StartsClear)
+{
+    const std::uint32_t n = GetParam();
+    ColourMask m(n);
+    EXPECT_EQ(m.size(), n);
+    EXPECT_TRUE(m.none());
+    EXPECT_FALSE(m.any());
+    EXPECT_EQ(m.count(), 0u);
+    EXPECT_EQ(m.findFirst(), n);
+    EXPECT_EQ(m.findFirstClear(), 0u);
 }
 
-TEST(BitVectorTest, SetResetTest)
+TEST_P(ColourMaskTest, SetResetTestAtBothEnds)
 {
-    BitVector v(70);
-    v.set(0);
-    v.set(63);
-    v.set(64);
-    v.set(69);
-    EXPECT_TRUE(v.test(0));
-    EXPECT_TRUE(v.test(63));
-    EXPECT_TRUE(v.test(64));
-    EXPECT_TRUE(v.test(69));
-    EXPECT_FALSE(v.test(1));
-    EXPECT_EQ(v.count(), 4u);
-    v.reset(63);
-    EXPECT_FALSE(v.test(63));
-    EXPECT_EQ(v.count(), 3u);
+    const std::uint32_t n = GetParam();
+    ColourMask m(n);
+    m.set(0);
+    m.set(n - 1);
+    EXPECT_TRUE(m.test(0));
+    EXPECT_TRUE(m.test(n - 1));
+    EXPECT_EQ(m.count(), n == 1 ? 1u : 2u);
+    EXPECT_EQ(m.findFirst(), 0u);
+    m.reset(0);
+    EXPECT_FALSE(m.test(0));
+    EXPECT_EQ(m.findFirst(), n == 1 ? n : n - 1);
+    EXPECT_EQ(m.bits() >> (n - 1), n == 1 ? 0u : 1u);
 }
 
-TEST(BitVectorTest, AssignWorksBothWays)
+TEST_P(ColourMaskTest, FindFirstClearOnAFullMask)
 {
-    BitVector v(8);
-    v.assign(3, true);
-    EXPECT_TRUE(v.test(3));
-    v.assign(3, false);
-    EXPECT_FALSE(v.test(3));
+    const std::uint32_t n = GetParam();
+    ColourMask m(n);
+    for (std::uint32_t c = 0; c < n; ++c) {
+        EXPECT_EQ(m.findFirstClear(), c);
+        m.set(c);
+    }
+    EXPECT_EQ(m.count(), n);
+    EXPECT_EQ(m.findFirstClear(), n);
+    m.reset(n / 2);
+    EXPECT_EQ(m.findFirstClear(), n / 2);
 }
 
-TEST(BitVectorTest, FindFirstCrossesWordBoundary)
+TEST_P(ColourMaskTest, OrMergesAndClearAllResets)
 {
-    BitVector v(130);
-    v.set(128);
-    EXPECT_EQ(v.findFirst(), 128u);
-    v.set(65);
-    EXPECT_EQ(v.findFirst(), 65u);
+    const std::uint32_t n = GetParam();
+    ColourMask a(n), b(n);
+    a.set(0);
+    b.set(n - 1);
+    a |= b;
+    EXPECT_TRUE(a.test(0));
+    EXPECT_TRUE(a.test(n - 1));
+    EXPECT_FALSE(b.test(0) && n > 1);  // source untouched
+    a.clearAll();
+    EXPECT_TRUE(a.none());
+    EXPECT_EQ(a, ColourMask(n));
 }
 
-TEST(BitVectorTest, FindFirstClearSkipsSetBits)
+TEST_P(ColourMaskTest, ExactlyOneAndEquality)
 {
-    BitVector v(4);
-    v.set(0);
-    v.set(1);
-    EXPECT_EQ(v.findFirstClear(), 2u);
-    v.set(2);
-    v.set(3);
-    EXPECT_EQ(v.findFirstClear(), 4u);
-}
-
-TEST(BitVectorTest, OrWithMergesBits)
-{
-    BitVector a(100), b(100);
-    a.set(1);
-    b.set(70);
-    a.orWith(b);
-    EXPECT_TRUE(a.test(1));
-    EXPECT_TRUE(a.test(70));
-    EXPECT_FALSE(b.test(1));  // source untouched
-}
-
-TEST(BitVectorTest, ClearAllResets)
-{
-    BitVector v(100);
-    v.set(5);
-    v.set(99);
-    v.clearAll();
-    EXPECT_TRUE(v.none());
-}
-
-TEST(BitVectorTest, ExactlyOne)
-{
-    BitVector v(16);
-    EXPECT_FALSE(v.exactlyOne());
-    v.set(7);
-    EXPECT_TRUE(v.exactlyOne());
-    v.set(8);
-    EXPECT_FALSE(v.exactlyOne());
-}
-
-TEST(BitVectorTest, EqualityComparesContent)
-{
-    BitVector a(16), b(16);
-    a.set(3);
+    const std::uint32_t n = GetParam();
+    ColourMask a(n), b(n);
+    EXPECT_FALSE(a.exactlyOne());
+    a.set(n - 1);
+    EXPECT_TRUE(a.exactlyOne());
     EXPECT_NE(a, b);
-    b.set(3);
+    b.set(n - 1);
     EXPECT_EQ(a, b);
+    EXPECT_EQ(a, ColourMask(n, std::uint64_t(1) << (n - 1)));
+    if (n > 1) {
+        a.set(0);
+        EXPECT_FALSE(a.exactlyOne());
+    }
+}
+
+TEST_P(ColourMaskTest, IndexOutOfRangePanics)
+{
+    const std::uint32_t n = GetParam();
+    ColourMask m(n);
+    EXPECT_DEATH(m.test(n), "out of range");
+    EXPECT_DEATH(m.set(n), "out of range");
+    if (n < ColourMask::kMaxColours) {
+        EXPECT_DEATH(ColourMask(n, std::uint64_t(1) << n), "outside");
+    }
+}
+
+INSTANTIATE_TEST_SUITE_P(Widths, ColourMaskTest,
+                         ::testing::Values(1u, 16u, 64u));
+
+TEST(ColourMaskLimits, WiderThanOneWordOrMismatchedPanics)
+{
+    EXPECT_DEATH(ColourMask(65), "do not fit one word");
+    ColourMask a(16), b(64);
+    EXPECT_DEATH(a |= b, "size mismatch");
 }
 
 TEST(RandomTest, Deterministic)

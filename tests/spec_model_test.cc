@@ -9,6 +9,8 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "cache/mesi_spec.hh"
 #include "core/cache_page_state.hh"
 #include "core/phys_page_info.hh"
@@ -424,6 +426,49 @@ TEST(Table3Test, MappedAndStaleAreExclusive)
     v.stale.set(0);
     EXPECT_DEATH(v.decode(0), "mapped and stale");
 }
+
+/** Seeded violations of the two encoding invariants, at the 720's
+ *  width and the one-word maximum, with the offending colour at the top
+ *  of the word: checkInvariants() (two word operations) and decode()
+ *  must each still panic. */
+class Table3ViolationTest : public ::testing::TestWithParam<std::uint32_t>
+{
+};
+
+TEST_P(Table3ViolationTest, ColourBothMappedAndStalePanics)
+{
+    const std::uint32_t top = GetParam() - 1;
+    CacheStateVector v(GetParam());
+    v.mapped.set(0);
+    v.stale.set(1);
+    v.checkInvariants();  // disjoint: fine
+    v.mapped.set(top);
+    v.stale.set(top);
+    EXPECT_DEATH(v.checkInvariants(),
+                 "colour " + std::to_string(top) + " both mapped and stale");
+    EXPECT_DEATH(v.decode(top), "both mapped and stale");
+}
+
+TEST_P(Table3ViolationTest, DirtyWithNoMappedColourPanics)
+{
+    CacheStateVector v(GetParam());
+    v.stale.set(GetParam() - 1);
+    v.cacheDirty = true;
+    EXPECT_DEATH(v.checkInvariants(), "cacheDirty with 0 mapped colours");
+}
+
+TEST_P(Table3ViolationTest, DirtyWithTwoMappedColoursPanics)
+{
+    CacheStateVector v(GetParam());
+    v.mapped.set(GetParam() - 1);
+    v.cacheDirty = true;
+    v.checkInvariants();  // exactly one: fine
+    v.mapped.set(0);
+    EXPECT_DEATH(v.checkInvariants(), "cacheDirty with 2 mapped colours");
+}
+
+INSTANTIATE_TEST_SUITE_P(Widths, Table3ViolationTest,
+                         ::testing::Values(16u, 64u));
 
 TEST(Table3Test, ClearResetsEverything)
 {
