@@ -8,7 +8,8 @@
  *  - the CacheControl bookkeeping (colour-mask ops, protection walk),
  *  - consistency-fault round trips,
  *  - TLB translation,
- *  - ranged CPU loads and page copies (line runs).
+ *  - ranged CPU loads, stores and page copies (line runs), hot and
+ *    cold, and stores to lines Shared with a peer.
  *
  * These measure the SIMULATOR's real speed (host nanoseconds), which
  * is what bounds experiment turnaround; the simulated-cycle costs are
@@ -246,24 +247,26 @@ BM_CpuStoreHit(benchmark::State &state)
 }
 BENCHMARK(BM_CpuStoreHit);
 
-/** A CPU on an hp720 machine with pages mapped read-write in space 1
- *  at 0x100000 (frame 2), 0x101000 (frame 3) and 0x110000 (frame 4):
- *  the first two differ in d-cache colour, the first and third share
- *  one (the cache spans 16 pages). */
+/** A CPU on @p params' machine with pages mapped read-write in space
+ *  1 at 0x100000 (frame 2), 0x101000 (frame 3), 0x110000 (frame 4)
+ *  and 0x111000 (frame 5): the first two differ in d-cache colour, the
+ *  first and third share one, as do the second and fourth (the cache
+ *  spans 16 pages). */
 struct RangeRig
 {
-    RangeRig() : cpu(m)
+    explicit RangeRig(const MachineParams &params = MachineParams::hp720())
+        : m(params), cpu(m)
     {
         cpu.setSpace(1);
-        m.pageTable().enter(SpaceVa(1, VirtAddr(0x100000)), 2,
-                            Protection::readWrite());
-        m.pageTable().enter(SpaceVa(1, VirtAddr(0x101000)), 3,
-                            Protection::readWrite());
-        m.pageTable().enter(SpaceVa(1, VirtAddr(0x110000)), 4,
-                            Protection::readWrite());
+        const std::pair<std::uint64_t, FrameId> pages[] = {
+            {0x100000, 2}, {0x101000, 3}, {0x110000, 4}, {0x111000, 5}};
+        for (const auto &[va, frame] : pages) {
+            m.pageTable().enter(SpaceVa(1, VirtAddr(va)), frame,
+                                Protection::readWrite());
+        }
     }
 
-    Machine m{MachineParams::hp720()};
+    Machine m;
     Cpu cpu;
     const std::uint32_t pageWords = m.pageBytes() / 4;
 };
@@ -307,6 +310,62 @@ BM_CpuCopyRangeConflict(benchmark::State &state)
     state.SetItemsProcessed(state.iterations() * r.pageWords);
 }
 BENCHMARK(BM_CpuCopyRangeConflict);
+
+void
+BM_CpuStoreRangeColdPage(benchmark::State &state)
+{
+    // A zero fill over absent lines: two same-colour pages in turn, so
+    // every line misses and writes the other page's dirty line back.
+    RangeRig r;
+    bool flip = false;
+    for (auto _ : state) {
+        r.cpu.storeRange(VirtAddr(flip ? 0x110000 : 0x100000), r.pageWords,
+                         4, 0, 0);
+        flip = !flip;
+    }
+    state.SetItemsProcessed(state.iterations() * r.pageWords);
+}
+BENCHMARK(BM_CpuStoreRangeColdPage);
+
+void
+BM_CpuCopyRangeColdPage(benchmark::State &state)
+{
+    // A page copy between windows of different colours, both absent:
+    // the two copies in turn evict each other's source and
+    // destination lines.
+    RangeRig r;
+    bool flip = false;
+    for (auto _ : state) {
+        const std::uint64_t off = flip ? 0x10000 : 0;
+        r.cpu.copyRange(VirtAddr(0x101000 + off), VirtAddr(0x100000 + off),
+                        r.pageWords);
+        flip = !flip;
+    }
+    state.SetItemsProcessed(state.iterations() * r.pageWords);
+}
+BENCHMARK(BM_CpuCopyRangeColdPage);
+
+void
+BM_CpuStoreRangeSharedLines(benchmark::State &state)
+{
+    // A page of stores on a 2-CPU MESI machine, every line present and
+    // Shared with the peer: one bus upgrade per line. The peer's
+    // untimed load restores the Shared copies between passes.
+    RangeRig r(twoCpuMesi());
+    Cpu peer(r.m, 1);
+    peer.setSpace(1);
+    const VirtAddr page(0x100000);
+    r.cpu.loadRange(page, r.pageWords, 4);
+    std::uint32_t seed = 0;
+    for (auto _ : state) {
+        state.PauseTiming();
+        peer.loadRange(page, r.pageWords, 4);
+        state.ResumeTiming();
+        r.cpu.storeRange(page, r.pageWords, 4, ++seed, 1);
+    }
+    state.SetItemsProcessed(state.iterations() * r.pageWords);
+}
+BENCHMARK(BM_CpuStoreRangeSharedLines);
 
 void
 BM_ConsistencyFaultRoundTrip(benchmark::State &state)

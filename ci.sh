@@ -48,7 +48,8 @@
 #  10. perf gate: tools/perf_gate.py runs perfbench on this tree and
 #      on its base commit in alternating pairs on every BENCHMARK.json
 #      workload, failing on a simulated-work difference or a median
-#      refs_per_s ratio below BENCHMARK.json's bound
+#      ratio of any BENCHMARK.json end_to_end metric worse than its
+#      bound
 #      (docs/BENCHMARKING.md, "The perf gate");
 #  11. thread sanitizer: the threaded fan-outs (experiment engine
 #      tests + the smoke sweep + the model checker's exploreMany +

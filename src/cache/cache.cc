@@ -99,12 +99,15 @@ Cache::selfSnoopSynonyms(PhysAddr pa_line)
     });
 }
 
-void
-Cache::fill(std::uint32_t line_id, PhysAddr pa, bool for_write)
+std::uint32_t
+Cache::fill(std::uint32_t set, PhysAddr pa, bool for_write)
 {
-    // The caller has written a dirty victim back; un-count it.
-    if (lineValid(line_id))
-        dropLine(line_id);
+    ++counters[CacheStat::Misses];
+    const std::uint32_t id = lineId(set, victimWay(set));
+    if (lineDirty(id))
+        writeBack(id);
+    if (lineValid(id))
+        dropLine(id);
     const PhysAddr base = geo.lineBase(pa);
     // Coherence actions first, so peer (and synonym) write-backs land
     // in memory before this fill reads it.
@@ -117,15 +120,49 @@ Cache::fill(std::uint32_t line_id, PhysAddr pa, bool for_write)
     }
     if (selfSnoop)
         selfSnoopSynonyms(base);
-    mem.readWords(base, lineData(line_id), geo.wordsPerLine());
-    lineState[line_id] =
-        shared ? MesiState::Shared : MesiState::Exclusive;
+    mem.readWords(base, lineData(id), geo.wordsPerLine());
+    lineState[id] = shared ? MesiState::Shared : MesiState::Exclusive;
     const std::uint64_t tag = pa.lineNumber(geo.lineBytes());
-    lineTag[line_id] = tag;
+    lineTag[id] = tag;
     if (copies[tag]++ == 0)
         resident[tag / 64] |= std::uint64_t(1) << (tag % 64);
     ++counters[CacheStat::Fills];
     clk.advance(costs.missPenalty);
+    return id;
+}
+
+void
+Cache::writeRunSlow(std::uint32_t set, int way, PhysAddr pa,
+                    const std::uint32_t *values, std::uint32_t n)
+{
+    counters[CacheStat::Writes] += n;
+    clk.advance(Cycles(n) * costs.hit);
+    if (policy == WritePolicy::WriteThrough) {
+        // No write-allocate: a miss writes straight to memory.
+        mem.writeWords(pa, values, n);
+        if (way < 0) {
+            counters[CacheStat::Misses] += n;
+            return;
+        }
+        const std::uint32_t id =
+            lineId(set, static_cast<std::uint32_t>(way));
+        counters[CacheStat::Hits] += n;
+        useTick += n;
+        lineUse[id] = useTick;
+        std::copy_n(values, n, lineData(id) + wordInLine(pa));
+        return;
+    }
+    std::uint32_t id;
+    if (way >= 0) {
+        // A Shared hit wins exclusive ownership before writing.
+        id = lineId(set, static_cast<std::uint32_t>(way));
+        bus->busUpgrade(this, geo.lineBase(pa));
+        counters[CacheStat::Hits] += n;
+    } else {
+        id = fill(set, pa, true);
+        counters[CacheStat::Hits] += n - 1;
+    }
+    commitWrite(id, pa, values, n);
 }
 
 std::uint32_t
@@ -133,24 +170,7 @@ Cache::read(VirtAddr va, PhysAddr pa)
 {
     vic_assert(va.isAligned(4) && pa.isAligned(4),
                "unaligned cache access");
-    ++counters[CacheStat::Reads];
-    const std::uint32_t set = geo.setIndex(indexBits(va, pa));
-    int way = findWay(set, pa);
-    clk.advance(costs.hit);
-    if (way < 0) {
-        ++counters[CacheStat::Misses];
-        const std::uint32_t victim = victimWay(set);
-        const std::uint32_t id = lineId(set, victim);
-        if (lineDirty(id))
-            writeBack(id);
-        fill(id, pa, false);
-        way = static_cast<int>(victim);
-    } else {
-        ++counters[CacheStat::Hits];
-    }
-    const std::uint32_t id = lineId(set, static_cast<std::uint32_t>(way));
-    lineUse[id] = ++useTick;
-    return lineData(id)[wordInLine(pa)];
+    return *readRun(va, pa, 1);
 }
 
 void
@@ -158,47 +178,7 @@ Cache::write(VirtAddr va, PhysAddr pa, std::uint32_t value)
 {
     vic_assert(va.isAligned(4) && pa.isAligned(4),
                "unaligned cache access");
-    ++counters[CacheStat::Writes];
-    const std::uint32_t set = geo.setIndex(indexBits(va, pa));
-    int way = findWay(set, pa);
-    clk.advance(costs.hit);
-
-    if (policy == WritePolicy::WriteThrough) {
-        // No write-allocate: a miss writes straight to memory.
-        mem.writeWord(pa, value);
-        if (way < 0) {
-            ++counters[CacheStat::Misses];
-            return;
-        }
-        ++counters[CacheStat::Hits];
-        const std::uint32_t id =
-            lineId(set, static_cast<std::uint32_t>(way));
-        lineUse[id] = ++useTick;
-        lineData(id)[wordInLine(pa)] = value;
-        return;
-    }
-
-    // Write-back, write-allocate.
-    if (way < 0) {
-        ++counters[CacheStat::Misses];
-        const std::uint32_t victim = victimWay(set);
-        const std::uint32_t id = lineId(set, victim);
-        if (lineDirty(id))
-            writeBack(id);
-        fill(id, pa, true);
-        way = static_cast<int>(victim);
-    } else {
-        ++counters[CacheStat::Hits];
-        const std::uint32_t id =
-            lineId(set, static_cast<std::uint32_t>(way));
-        // A Shared hit must win exclusive ownership before writing.
-        if (bus != nullptr && lineState[id] == MesiState::Shared)
-            bus->busUpgrade(this, geo.lineBase(pa));
-    }
-    const std::uint32_t id = lineId(set, static_cast<std::uint32_t>(way));
-    lineUse[id] = ++useTick;
-    lineState[id] = MesiState::Modified;
-    lineData(id)[wordInLine(pa)] = value;
+    writeRun(va, pa, &value, 1);
 }
 
 const std::uint32_t *

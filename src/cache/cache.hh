@@ -24,6 +24,13 @@
  * become bus transactions that snoop the peer caches, stores to Shared
  * lines upgrade ownership, and the bus calls back into the snoop
  * methods to downgrade or invalidate this cache's copy.
+ *
+ * CPU accesses arrive as line runs: readRun()/writeRun() take n words
+ * of one line in one call and leave the state of n one-word accesses,
+ * whatever the outcome (hits, one miss and fill, a Shared upgrade, or
+ * write-through). read()/write() are their one-word cases, and
+ * copyRun() closes a copy loop's pairs where it can (DESIGN.md "Line
+ * runs").
  */
 
 #ifndef VIC_CACHE_CACHE_HH
@@ -164,57 +171,32 @@ class Cache
      */
     void enableSelfSnoop(Cycles penalty_cycles);
 
-    /** CPU load of the aligned word at (@p va -> @p pa). */
+    /** CPU load of the aligned word at (@p va -> @p pa): a one-word
+     *  readRun(). */
     std::uint32_t read(VirtAddr va, PhysAddr pa);
 
-    /** CPU store of the aligned word at (@p va -> @p pa). */
+    /** CPU store of the aligned word at (@p va -> @p pa): a one-word
+     *  writeRun(). */
     void write(VirtAddr va, PhysAddr pa, std::uint32_t value);
 
     /**
-     * Access-pipeline fast path: if the line holding (@p va -> @p pa)
-     * is present, complete the load of the aligned word — identical
-     * counters, LRU update and single cycle charge as read() — storing
-     * it in @p value and returning true. On a miss, no state or
-     * accounting is touched and the caller completes the access
-     * through read(), which performs the full miss handling.
-     */
-    bool
-    tryReadHit(VirtAddr va, PhysAddr pa, std::uint32_t &value)
-    {
-        const std::uint32_t *word = readRun(va, pa, 1);
-        if (word == nullptr)
-            return false;
-        value = *word;
-        return true;
-    }
-
-    /**
-     * Access-pipeline fast path for stores: the write-back, line-hit
-     * analogue of tryReadHit(), a one-word writeRun(). When it returns
-     * false the caller falls back to write().
-     */
-    bool
-    tryWriteHit(VirtAddr va, PhysAddr pa, std::uint32_t value)
-    { return writeRun(va, pa, &value, 1); }
-
-    /**
      * Line run of loads: the @p n words from (@p va -> @p pa) on, all
-     * in one line. If the line is present, account n read hits as
-     * n read() calls would and return the line's words from @p pa's
-     * on; otherwise touch nothing and return nullptr.
+     * in one line. Leaves the state of n read() calls: on a hit, n
+     * read hits; on a miss, the first word misses (a dirty victim is
+     * written back, then the line fills) and the other n - 1 hit.
+     * @return the line's words from @p pa's on.
      */
     const std::uint32_t *
     readRun(VirtAddr va, PhysAddr pa, std::uint32_t n)
     {
         const std::uint32_t set = geo.setIndex(indexBits(va, pa));
         const int way = findWay(set, pa);
-        if (way < 0)
-            return nullptr;
+        const std::uint32_t id = way >= 0
+            ? lineId(set, static_cast<std::uint32_t>(way))
+            : fill(set, pa, false);
         counters[CacheStat::Reads] += n;
-        counters[CacheStat::Hits] += n;
+        counters[CacheStat::Hits] += n - (way < 0);
         clk.advance(Cycles(n) * costs.hit);
-        const std::uint32_t id =
-            lineId(set, static_cast<std::uint32_t>(way));
         useTick += n;
         lineUse[id] = useTick;
         return lineData(id) + wordInLine(pa);
@@ -222,34 +204,31 @@ class Cache
 
     /**
      * Line run of stores: @p values to the @p n words from
-     * (@p va -> @p pa) on, all in one line. Refuses — returning false
-     * with no accounting — for a write-through cache (whose stores
-     * always touch memory), an absent line, or a Shared line on a
-     * coherence bus (which must broadcast an upgrade first); otherwise
-     * leaves the state of n write() hits.
+     * (@p va -> @p pa) on, all in one line. Leaves the state of n
+     * write() calls. Write-back: a miss fills the line for writing on
+     * the first word (the other n - 1 hit), and a Shared hit on a
+     * coherence bus broadcasts one upgrade; the line ends Modified.
+     * Write-through: n no-allocate memory writes, all hits or all
+     * misses.
      */
-    bool
+    void
     writeRun(VirtAddr va, PhysAddr pa, const std::uint32_t *values,
              std::uint32_t n)
     {
-        if (policy != WritePolicy::WriteBack)
-            return false;
         const std::uint32_t set = geo.setIndex(indexBits(va, pa));
         const int way = findWay(set, pa);
-        if (way < 0)
-            return false;
         const std::uint32_t id =
             lineId(set, static_cast<std::uint32_t>(way));
-        if (bus != nullptr && lineState[id] == MesiState::Shared)
-            return false;
+        if (way < 0 || policy != WritePolicy::WriteBack ||
+            (bus != nullptr && lineState[id] == MesiState::Shared))
+            [[unlikely]] {
+            writeRunSlow(set, way, pa, values, n);
+            return;
+        }
         counters[CacheStat::Writes] += n;
         counters[CacheStat::Hits] += n;
         clk.advance(Cycles(n) * costs.hit);
-        useTick += n;
-        lineUse[id] = useTick;
-        lineState[id] = MesiState::Modified;
-        std::copy_n(values, n, lineData(id) + wordInLine(pa));
-        return true;
+        commitWrite(id, pa, values, n);
     }
 
     /**
@@ -460,13 +439,33 @@ class Cache
     void writeBack(std::uint32_t line_id);
 
     /**
-     * Fill line @p line_id from memory for @p pa's line. On a bus this
-     * is a bus-read (@p for_write false: fills Shared or Exclusive by
-     * the peers' reply) or a bus-read-exclusive (@p for_write true:
-     * peers invalidate, fills Exclusive); with synonym coherence the
-     * cache's other candidate sets are self-snooped first.
+     * Miss handling of a run at @p pa in @p set: count the miss, write
+     * the victim way back if dirty, then fill it with @p pa's line. On
+     * a bus the fill is a bus-read (@p for_write false: fills Shared
+     * or Exclusive by the peers' reply) or a bus-read-exclusive
+     * (@p for_write true: peers invalidate, fills Exclusive); with
+     * synonym coherence the cache's other candidate sets are
+     * self-snooped first. @return the filled line's id.
      */
-    void fill(std::uint32_t line_id, PhysAddr pa, bool for_write);
+    std::uint32_t fill(std::uint32_t set, PhysAddr pa, bool for_write);
+
+    /** writeRun() for a miss (fill for writing), a Shared line on a
+     *  bus (one upgrade) or a write-through cache (memory writes, no
+     *  allocation on a miss). @p way is the probe's result. */
+    void writeRunSlow(std::uint32_t set, int way, PhysAddr pa,
+                      const std::uint32_t *values, std::uint32_t n);
+
+    /** Store @p values into line @p line_id from @p pa's word on: the
+     *  LRU tick of n writes, and the line Modified. */
+    void
+    commitWrite(std::uint32_t line_id, PhysAddr pa,
+                const std::uint32_t *values, std::uint32_t n)
+    {
+        useTick += n;
+        lineUse[line_id] = useTick;
+        lineState[line_id] = MesiState::Modified;
+        std::copy_n(values, n, lineData(line_id) + wordInLine(pa));
+    }
 
     /** Displace every copy of @p pa_line already in the cache
      *  (reverse-lookup synonym snoop), before a fill installs it. */

@@ -80,17 +80,13 @@ Cpu::accessMapped(AccessType type, VirtAddr va, std::uint32_t store_value,
           // Coherence is the cache's own job now: a miss issues a bus
           // read that snoops the peers (coherence.hh); a hit is silent
           // exactly as real MESI hardware is.
-          std::uint32_t v;
-          if (!dcacheRef.tryReadHit(va, pa, v))
-              v = dcacheRef.read(va, pa);
+          const std::uint32_t v = *dcacheRef.readRun(va, pa, 1);
           if (obs && observerDue())
               obs->cpuLoad(pa, v);
           return v;
       }
       case AccessType::IFetch: {
-          std::uint32_t v;
-          if (!icacheRef.tryReadHit(va, pa, v))
-              v = icacheRef.read(va, pa);
+          const std::uint32_t v = *icacheRef.readRun(va, pa, 1);
           if (obs && observerDue())
               obs->cpuIFetch(pa, v);
           return v;
@@ -99,12 +95,11 @@ Cpu::accessMapped(AccessType type, VirtAddr va, std::uint32_t store_value,
           pte->modified = true;
           // Observer sees the store before the cache commits it (the
           // oracle's shadow memory must be current when the written
-          // line later leaves the cache). A Shared-line hit falls out
-          // of tryWriteHit into write(), which broadcasts the upgrade.
+          // line later leaves the cache). A store to a Shared line
+          // broadcasts the upgrade inside writeRun.
           if (obs && observerDue())
               obs->cpuStore(pa, store_value);
-          if (!dcacheRef.tryWriteHit(va, pa, store_value))
-              dcacheRef.write(va, pa, store_value);
+          dcacheRef.writeRun(va, pa, &store_value, 1);
           return 0;
       }
     }
@@ -183,9 +178,10 @@ Cpu::run(const Op *ops, std::size_t n)
         access(ops[i].type, ops[i].va, ops[i].value);
 }
 
-// A line run commits only when every word would take the fast path as
-// a TLB hit, a permitted access and a cache hit (or the copy conflict
-// closed form), so it never faults, refills or misses partway; it then
+// A line run never faults partway: it is refused only when its page
+// is not TLB-resident or does not permit the access. The cache takes
+// every other outcome of the run (hits, one miss and fill, a Shared
+// upgrade, write-through) as the per-word calls would, so the run
 // leaves exactly the state of the per-word loop.
 
 std::uint32_t
@@ -197,8 +193,6 @@ Cpu::loadRun(VirtAddr va, std::uint32_t limit)
     const std::uint32_t n = runLength(va, limit);
     const PhysAddr pa = physOf(*tr.pte, va);
     const std::uint32_t *words = dcacheRef.readRun(va, pa, n);
-    if (words == nullptr)
-        return 0;
     tlbRef.noteHits(tr, n);
     tr.pte->referenced = true;
     if (MemoryObserver *obs = mach.observer())
@@ -217,13 +211,13 @@ Cpu::storeRun(VirtAddr va, std::uint32_t limit, std::uint32_t first_value,
     const PhysAddr pa = physOf(*tr.pte, va);
     for (std::uint32_t k = 0; k < n; ++k)
         runValues[k] = first_value + k * step;
-    if (!dcacheRef.writeRun(va, pa, runValues.data(), n))
-        return 0;
+    dcacheRef.writeRun(va, pa, runValues.data(), n);
     tlbRef.noteHits(tr, n);
     tr.pte->referenced = true;
     tr.pte->modified = true;
     // The observer hears the stores after the cache took them: nothing
-    // in a hit run leaves the cache in between.
+    // observes memory during the run (a miss's write-backs and snoops
+    // are not observer events).
     if (MemoryObserver *obs = mach.observer())
         obs->cpuStoreRun(pa, runValues.data(), n);
     return n;
@@ -238,19 +232,30 @@ Cpu::copyRun(VirtAddr dst, VirtAddr src, std::uint32_t limit)
         !protPermits(ts.pte->prot, AccessType::Load) ||
         !protPermits(td.pte->prot, AccessType::Store))
         return 0;
-    const std::uint32_t n = runLength(dst, runLength(src, limit));
+    std::uint32_t n = runLength(dst, runLength(src, limit));
     const PhysAddr src_pa = physOf(*ts.pte, src);
     const PhysAddr dst_pa = physOf(*td.pte, dst);
-    const std::uint32_t *words =
-        dcacheRef.copyRun(src, src_pa, dst, dst_pa, n);
-    if (words == nullptr)
-        return 0;
+    MemoryObserver *obs = mach.observer();
+    if (const std::uint32_t *words =
+            dcacheRef.copyRun(src, src_pa, dst, dst_pa, n)) {
+        if (obs)
+            obs->cpuCopyRun(src_pa, dst_pa, words, n);
+    } else {
+        // Neither closed form applies: take the first pair alone. It
+        // leaves both lines present, so the next step usually finds
+        // two hits or the conflict form.
+        const std::uint32_t v = *dcacheRef.readRun(src, src_pa, 1);
+        if (obs) {
+            obs->cpuLoad(src_pa, v);
+            obs->cpuStore(dst_pa, v);
+        }
+        dcacheRef.writeRun(dst, dst_pa, &v, 1);
+        n = 1;
+    }
     tlbRef.notePairHits(ts, td, n);
     ts.pte->referenced = true;
     td.pte->referenced = true;
     td.pte->modified = true;
-    if (MemoryObserver *obs = mach.observer())
-        obs->cpuCopyRun(src_pa, dst_pa, words, n);
     return n;
 }
 
@@ -281,7 +286,7 @@ Cpu::storeRange(VirtAddr base, std::uint32_t count,
                 std::uint32_t stride_bytes, std::uint32_t seed,
                 std::uint32_t seed_step)
 {
-    if (stride_bytes != 4 || !storeRunsEnabled()) {
+    if (stride_bytes != 4 || !runsEnabled()) {
         for (std::uint32_t i = 0; i < count; ++i)
             access(AccessType::Store,
                    base.plus(std::uint64_t(i) * stride_bytes),
@@ -312,7 +317,7 @@ Cpu::copyRange(VirtAddr dst, VirtAddr src, std::uint32_t count)
         accessAligned(AccessType::Store, dst.plus(off),
                       accessAligned(AccessType::Load, src.plus(off), 0));
     };
-    if (!storeRunsEnabled()) {
+    if (!runsEnabled()) {
         for (std::uint32_t i = 0; i < count; ++i)
             word(i);
         return;

@@ -7,15 +7,15 @@
  *
  *   translate -> protect -> index -> tag-check -> account
  *
- * The common case — TLB hit, protection allows, cache line present —
- * runs straight-line through pre-resolved component references with a
- * single clock advance and no page-table walk (the TLB hands back a
- * mutable PTE handle, so referenced/modified bits are set directly).
- * Everything else (unmapped pages, protection traps, cache misses,
- * multiprocessor coherence, DMA busy-bits) falls back to the slow
- * path, whose trap-and-retry loop is the mechanism by which the
- * consistency algorithm interposes on exactly the accesses that need
- * cache state transitions.
+ * The common case — TLB hit, protection allows — runs straight-line
+ * through pre-resolved component references into one cache call, a
+ * one-word Cache::readRun()/writeRun() that completes a hit, a miss
+ * (write-back, fill, coherence) or a Shared upgrade itself, with no
+ * page-table walk (the TLB hands back a mutable PTE handle, so
+ * referenced/modified bits are set directly). Unmapped pages and
+ * protection traps fall back to the slow path, whose trap-and-retry
+ * loop is the mechanism by which the consistency algorithm interposes
+ * on exactly the accesses that need cache state transitions.
  *
  * Observer hooks sit behind a null check plus an optional sampling
  * period (Machine::setObserverSampling), so observability costs one
@@ -27,11 +27,12 @@
  * cycles, faults, TLB and cache LRU state, and observer callbacks).
  * Beyond amortising per-call dispatch, the stride-4 data ranges
  * simulate each run of words that falls in one cache line in one step
- * — one TLB peek and one cache probe per line, and a closed form for
- * a copy whose source and destination lines thrash one direct-mapped
- * set (DESIGN.md "Line runs"). Anything a run cannot complete exactly
- * falls back to the per-word pipeline for one word. The OS kernel and
- * the mc executor drive this API.
+ * — one TLB peek and one cache call per line, misses and upgrades
+ * included, and a closed form for a copy whose source and destination
+ * lines thrash one direct-mapped set (DESIGN.md "Line runs"). A run is
+ * refused only on a page that is not TLB-resident or does not permit
+ * the access; that word then takes the per-word pipeline, fault and
+ * all. The OS kernel and the mc executor drive this API.
  */
 
 #ifndef VIC_MACHINE_CPU_HH
@@ -150,14 +151,6 @@ class Cpu
      *  observer (a sampling period counts single accesses). */
     bool runsEnabled() const { return mach.observerSamplePeriod() <= 1; }
 
-    /** A write-through d-cache refuses every store run. */
-    bool
-    storeRunsEnabled() const
-    {
-        return runsEnabled() &&
-            dcacheRef.writePolicy() == WritePolicy::WriteBack;
-    }
-
     /** Words from @p va to the end of its d-cache line, capped at
      *  @p limit. */
     std::uint32_t
@@ -174,7 +167,8 @@ class Cpu
     { return PhysAddr(pte.frame * pageBytesC + va.offsetIn(pageBytesC)); }
 
     /** Line runs of at most @p limit words at @p va (@p dst for a
-     *  copy). @return the words completed, 0 if refused. */
+     *  copy). @return the words completed, 0 if the page is not
+     *  TLB-resident or does not permit the access. */
     std::uint32_t loadRun(VirtAddr va, std::uint32_t limit);
     std::uint32_t storeRun(VirtAddr va, std::uint32_t limit,
                            std::uint32_t first_value, std::uint32_t step);

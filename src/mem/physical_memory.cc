@@ -2,6 +2,8 @@
 
 #include "common/logging.hh"
 
+#include <algorithm>
+
 namespace vic
 {
 
@@ -15,50 +17,41 @@ PhysicalMemory::PhysicalMemory(std::uint64_t num_frames,
 }
 
 std::uint64_t
-PhysicalMemory::wordIndex(PhysAddr pa) const
+PhysicalMemory::wordIndex(PhysAddr pa, std::uint32_t nwords) const
 {
     vic_assert(pa.isAligned(4), "unaligned physical word access %s",
                hex(pa).c_str());
-    std::uint64_t idx = pa.wordIndex();
-    vic_assert(idx < store.size(), "physical address %s out of range",
-               hex(pa).c_str());
+    const std::uint64_t idx = pa.wordIndex();
+    vic_assert(idx < store.size() && nwords <= store.size() - idx,
+               "physical range %s+%u out of range", hex(pa).c_str(),
+               nwords * 4);
     return idx;
 }
 
 std::uint32_t
 PhysicalMemory::readWord(PhysAddr pa) const
 {
-    return store[wordIndex(pa)];
+    return store[wordIndex(pa, 1)];
 }
 
 void
 PhysicalMemory::writeWord(PhysAddr pa, std::uint32_t value)
 {
-    store[wordIndex(pa)] = value;
+    store[wordIndex(pa, 1)] = value;
 }
 
 void
 PhysicalMemory::readWords(PhysAddr pa, std::uint32_t *out,
                           std::uint32_t nwords) const
 {
-    std::uint64_t idx = wordIndex(pa);
-    vic_assert(idx + nwords <= store.size(),
-               "physical range %s+%u out of range", hex(pa).c_str(),
-               nwords * 4);
-    for (std::uint32_t i = 0; i < nwords; ++i)
-        out[i] = store[idx + i];
+    std::copy_n(store.begin() + wordIndex(pa, nwords), nwords, out);
 }
 
 void
 PhysicalMemory::writeWords(PhysAddr pa, const std::uint32_t *in,
                            std::uint32_t nwords)
 {
-    std::uint64_t idx = wordIndex(pa);
-    vic_assert(idx + nwords <= store.size(),
-               "physical range %s+%u out of range", hex(pa).c_str(),
-               nwords * 4);
-    for (std::uint32_t i = 0; i < nwords; ++i)
-        store[idx + i] = in[i];
+    std::copy_n(in, nwords, store.begin() + wordIndex(pa, nwords));
 }
 
 } // namespace vic

@@ -61,7 +61,9 @@ class PhysicalMemory
     std::uint32_t pageBytes;
     ZeroedArray<std::uint32_t> store;
 
-    std::uint64_t wordIndex(PhysAddr pa) const;
+    /** Index of the word at @p pa, with the alignment of @p pa and
+     *  the range of the @p nwords words from it checked once. */
+    std::uint64_t wordIndex(PhysAddr pa, std::uint32_t nwords) const;
 };
 
 } // namespace vic

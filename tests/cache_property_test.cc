@@ -12,6 +12,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <string>
 #include <tuple>
 #include <unordered_map>
@@ -505,15 +506,36 @@ class Differential
         // An unaligned "page": its sets wrap past the end of the cache.
         const std::uint32_t skew = off / geo.lineBytes() * geo.lineBytes();
 
+        // Loads and stores are line runs of the words from off on, up
+        // to the end of the line, against the reference's per-word
+        // loop; a run of 1 is the one-word read()/write().
+        const std::uint32_t run =
+            1 + static_cast<std::uint32_t>(rng.below(
+                    (geo.lineBytes() - off % geo.lineBytes()) / 4));
+
         std::uint64_t got = 0, want = 0;
         const std::uint64_t op = rng.below(100);
         if (op < 30) {
-            got = dut.read(va, pa);
-            want = ref.read(va, pa);
+            std::vector<std::uint32_t> words(run);
+            if (run == 1)
+                words[0] = dut.read(va, pa);
+            else
+                std::copy_n(dut.readRun(va, pa, run), run, words.begin());
+            for (std::uint32_t i = 0; i < run; ++i) {
+                got = got * 31 + words[i];
+                want = want * 31 + ref.read(va.plus(4 * i), pa.plus(4 * i));
+            }
         } else if (op < 60) {
             const auto v = static_cast<std::uint32_t>(rng.next64());
-            dut.write(va, pa, v);
-            ref.write(va, pa, v);
+            std::vector<std::uint32_t> values(run);
+            for (std::uint32_t i = 0; i < run; ++i) {
+                values[i] = v + i;
+                ref.write(va.plus(4 * i), pa.plus(4 * i), values[i]);
+            }
+            if (run == 1)
+                dut.write(va, pa, v);
+            else
+                dut.writeRun(va, pa, values.data(), run);
         } else if (op < 68) {
             const bool wb = op < 64;
             got = wb ? dut.flushLine(va, pa) : dut.purgeLine(va, pa);

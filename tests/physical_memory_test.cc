@@ -68,5 +68,27 @@ TEST(PhysicalMemoryDeathTest, OutOfRangePanics)
     EXPECT_DEATH(mem.readWord(PhysAddr(2 * 4096)), "out of range");
 }
 
+TEST(PhysicalMemoryDeathTest, UnalignedSpanPanics)
+{
+    PhysicalMemory mem(2, 4096);
+    std::uint32_t buf[4] = {};
+    EXPECT_DEATH(mem.readWords(PhysAddr(6), buf, 4), "unaligned");
+    EXPECT_DEATH(mem.writeWords(PhysAddr(6), buf, 4), "unaligned");
+}
+
+TEST(PhysicalMemoryDeathTest, OutOfRangeSpanPanics)
+{
+    PhysicalMemory mem(2, 4096);
+    std::uint32_t buf[4] = {};
+    // The span starts inside memory and runs one word past its end.
+    EXPECT_DEATH(mem.readWords(PhysAddr(2 * 4096 - 12), buf, 4),
+                 "out of range");
+    EXPECT_DEATH(mem.writeWords(PhysAddr(2 * 4096 - 12), buf, 4),
+                 "out of range");
+    EXPECT_DEATH(mem.readWords(PhysAddr(2 * 4096), buf, 0),
+                 "out of range");
+    mem.readWords(PhysAddr(2 * 4096 - 16), buf, 4);
+}
+
 } // anonymous namespace
 } // namespace vic

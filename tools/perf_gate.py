@@ -11,9 +11,11 @@ both sides.
 
 The gate fails when any run is not correct, when sim_cycles or
 sim_cache_ops differ between the trees, or when a workload's median
-per-pair refs_per_s ratio (change / base) is below 1 - bound, with the
-bound taken from BENCHMARK.json's refs_per_s entry. The worktree is
-removed on every exit, including SIGINT and SIGTERM.
+per-pair ratio (change / base) of any end_to_end metric BENCHMARK.json
+lists is worse than its bound in its `better` direction: below
+1 - bound for a metric where higher is better, above 1 + bound where
+lower is. The worktree is removed on every exit, including SIGINT and
+SIGTERM.
 
 Run from the root of the checkout (uncommitted changes are part of the
 change side):
@@ -97,9 +99,10 @@ def perfbench(tree, workload):
     return {k: m["value"] for k, m in result["metrics"].items()}
 
 
-def gate_workload(workload, bound):
-    """Run PAIRS alternating pairs of @p workload; True if it passes."""
-    ratios = []
+def gate_workload(workload, metrics):
+    """Run PAIRS alternating pairs of @p workload and check each of
+    @p metrics (BENCHMARK.json end_to_end entries); True if it passes."""
+    ratios = {m["name"]: [] for m in metrics}
     for pair in range(PAIRS):
         order = [("base", BASE_DIR), ("change", ROOT)]
         if pair % 2:
@@ -116,21 +119,28 @@ def gate_workload(workload, bound):
                     f"{runs['base'][key]:.0f}, change "
                     f"{runs['change'][key]:.0f}")
                 return False
-        ratios.append(runs["change"]["refs_per_s"] /
-                      runs["base"]["refs_per_s"])
-    median = statistics.median(ratios)
-    ok = median >= 1 - bound
-    log(f"{workload}: refs_per_s change/base median {median:.3f} "
-        f"(pairs {' '.join(f'{r:.3f}' for r in ratios)}; floor "
-        f"{1 - bound:.2f}) -> {'ok' if ok else 'SLOWER'}")
+        for name, values in ratios.items():
+            values.append(runs["change"][name] / runs["base"][name]
+                          if runs["base"][name] else 1.0)
+    ok = True
+    for m in metrics:
+        values = ratios[m["name"]]
+        median = statistics.median(values)
+        higher = m["better"] == "higher"
+        limit = 1 - m["bound"] if higher else 1 + m["bound"]
+        within = median >= limit if higher else median <= limit
+        ok = ok and within
+        log(f"{workload}: {m['name']} change/base median {median:.3f} "
+            f"(pairs {' '.join(f'{r:.3f}' for r in values)}; "
+            f"{'floor' if higher else 'ceiling'} {limit:.2f}) -> "
+            f"{'ok' if within else 'WORSE'}")
     return ok
 
 
 def main():
     with open(os.path.join(ROOT, "BENCHMARK.json")) as f:
         bench = json.load(f)
-    bound = next(m["bound"] for m in bench["end_to_end"]
-                 if m["name"] == "refs_per_s")
+    metrics = bench["end_to_end"]
     workloads = [w["name"] for w in bench["workloads"]]
 
     # The trap: SIGTERM and SIGHUP unwind like SIGINT, through the
@@ -143,7 +153,7 @@ def main():
     remove_worktree()
     try:
         git("worktree", "add", "--detach", BASE_DIR, base)
-        results = [gate_workload(w, bound) for w in workloads]
+        results = [gate_workload(w, metrics) for w in workloads]
     finally:
         remove_worktree()
     ok = all(results)
