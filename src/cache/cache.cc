@@ -135,6 +135,7 @@ void
 Cache::writeRunSlow(std::uint32_t set, int way, PhysAddr pa,
                     const std::uint32_t *values, std::uint32_t n)
 {
+    vic_assert(n > 0, "empty run");
     counters[CacheStat::Writes] += n;
     clk.advance(Cycles(n) * costs.hit);
     if (policy == WritePolicy::WriteThrough) {

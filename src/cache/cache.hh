@@ -44,6 +44,7 @@
 #include "cache/cache_geometry.hh"
 #include "common/column_store.hh"
 #include "common/cycle_clock.hh"
+#include "common/logging.hh"
 #include "common/stats.hh"
 #include "common/zeroed_array.hh"
 #include "common/types.hh"
@@ -191,9 +192,13 @@ class Cache
     {
         const std::uint32_t set = geo.setIndex(indexBits(va, pa));
         const int way = findWay(set, pa);
-        const std::uint32_t id = way >= 0
-            ? lineId(set, static_cast<std::uint32_t>(way))
-            : fill(set, pa, false);
+        std::uint32_t id;
+        if (way >= 0) [[likely]] {
+            id = lineId(set, static_cast<std::uint32_t>(way));
+        } else {
+            vic_assert(n > 0, "empty run");
+            id = fill(set, pa, false);
+        }
         counters[CacheStat::Reads] += n;
         counters[CacheStat::Hits] += n - (way < 0);
         clk.advance(Cycles(n) * costs.hit);

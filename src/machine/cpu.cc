@@ -182,7 +182,10 @@ Cpu::run(const Op *ops, std::size_t n)
 // is not TLB-resident or does not permit the access. The cache takes
 // every other outcome of the run (hits, one miss and fill, a Shared
 // upgrade, write-through) as the per-word calls would, so the run
-// leaves exactly the state of the per-word loop.
+// leaves exactly the state of the per-word loop. When neither of the
+// cache's closed forms fits a copy, copyRun takes the first pair alone;
+// that leaves both lines present, so the next step usually finds two
+// hits or the conflict form.
 
 std::uint32_t
 Cpu::loadRun(VirtAddr va, std::uint32_t limit)
@@ -232,30 +235,27 @@ Cpu::copyRun(VirtAddr dst, VirtAddr src, std::uint32_t limit)
         !protPermits(ts.pte->prot, AccessType::Load) ||
         !protPermits(td.pte->prot, AccessType::Store))
         return 0;
-    std::uint32_t n = runLength(dst, runLength(src, limit));
+    const std::uint32_t n = runLength(dst, runLength(src, limit));
     const PhysAddr src_pa = physOf(*ts.pte, src);
     const PhysAddr dst_pa = physOf(*td.pte, dst);
-    MemoryObserver *obs = mach.observer();
-    if (const std::uint32_t *words =
-            dcacheRef.copyRun(src, src_pa, dst, dst_pa, n)) {
-        if (obs)
-            obs->cpuCopyRun(src_pa, dst_pa, words, n);
-    } else {
-        // Neither closed form applies: take the first pair alone. It
-        // leaves both lines present, so the next step usually finds
-        // two hits or the conflict form.
-        const std::uint32_t v = *dcacheRef.readRun(src, src_pa, 1);
-        if (obs) {
-            obs->cpuLoad(src_pa, v);
-            obs->cpuStore(dst_pa, v);
-        }
-        dcacheRef.writeRun(dst, dst_pa, &v, 1);
-        n = 1;
+    const std::uint32_t *words =
+        dcacheRef.copyRun(src, src_pa, dst, dst_pa, n);
+    if (words == nullptr) {
+        // The first pair alone, through the per-word stages on the
+        // translations in hand: what copyRange's per-word step does
+        // minus its two TLB lookups, which notePairHits accounts.
+        accessMapped(AccessType::Store, dst,
+                     accessMapped(AccessType::Load, src, 0, ts.pte),
+                     td.pte);
+        tlbRef.notePairHits(ts, td, 1);
+        return 1;
     }
     tlbRef.notePairHits(ts, td, n);
     ts.pte->referenced = true;
     td.pte->referenced = true;
     td.pte->modified = true;
+    if (MemoryObserver *obs = mach.observer())
+        obs->cpuCopyRun(src_pa, dst_pa, words, n);
     return n;
 }
 

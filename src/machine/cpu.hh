@@ -167,8 +167,9 @@ class Cpu
     { return PhysAddr(pte.frame * pageBytesC + va.offsetIn(pageBytesC)); }
 
     /** Line runs of at most @p limit words at @p va (@p dst for a
-     *  copy). @return the words completed, 0 if the page is not
-     *  TLB-resident or does not permit the access. */
+     *  copy). @return the words completed (1 for a copy that
+     *  neither of Cache::copyRun()'s closed forms fits), 0 if the
+     *  page is not TLB-resident or does not permit the access. */
     std::uint32_t loadRun(VirtAddr va, std::uint32_t limit);
     std::uint32_t storeRun(VirtAddr va, std::uint32_t limit,
                            std::uint32_t first_value, std::uint32_t step);

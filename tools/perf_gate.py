@@ -14,8 +14,9 @@ sim_cache_ops differ between the trees, or when a workload's median
 per-pair ratio (change / base) of any end_to_end metric BENCHMARK.json
 lists is worse than its bound in its `better` direction: below
 1 - bound for a metric where higher is better, above 1 + bound where
-lower is. The worktree is removed on every exit, including SIGINT and
-SIGTERM.
+lower is. A metric that is zero in a base run compares as equal when
+the change's is zero too and as infinitely larger otherwise. The
+worktree is removed on every exit, including SIGINT and SIGTERM.
 
 Run from the root of the checkout (uncommitted changes are part of the
 change side):
@@ -24,6 +25,7 @@ change side):
 """
 
 import json
+import math
 import os
 import shutil
 import signal
@@ -99,6 +101,14 @@ def perfbench(tree, workload):
     return {k: m["value"] for k, m in result["metrics"].items()}
 
 
+def ratio(base, change):
+    """change / base; 1 when both are zero, infinity when only the base
+    is, so a rise from zero reads as a rise in either direction."""
+    if base:
+        return change / base
+    return 1.0 if change == 0 else math.inf
+
+
 def gate_workload(workload, metrics):
     """Run PAIRS alternating pairs of @p workload and check each of
     @p metrics (BENCHMARK.json end_to_end entries); True if it passes."""
@@ -120,8 +130,7 @@ def gate_workload(workload, metrics):
                     f"{runs['change'][key]:.0f}")
                 return False
         for name, values in ratios.items():
-            values.append(runs["change"][name] / runs["base"][name]
-                          if runs["base"][name] else 1.0)
+            values.append(ratio(runs["base"][name], runs["change"][name]))
     ok = True
     for m in metrics:
         values = ratios[m["name"]]
